@@ -11,7 +11,6 @@ from .game import (
     Violation,
     check_strategy,
     infer_sink,
-    is_admissible,
     strategy_subgraph,
     validate_game,
 )
@@ -20,16 +19,15 @@ from .valuation import (
     NotAdmissibleError,
     Valuation,
     improving_moves,
+    is_admissible,
     j_set,
     valuate,
 )
 from .rules import (
     ImprovementRule,
+    RuleContext,
     make_rule,
     random_subset_rule,
-    rule_random_subset,
-    rule_single_lowest,
-    rule_switch_all,
     single_lowest_rule,
     switch_all_rule,
 )

@@ -15,7 +15,7 @@ from . import families, pgsolver, reduction, traces
 from .game import PLAYER0, PLAYER1, ParityGame, Strategy, validate_game
 from .rules import make_rule
 from .solvers import SolverInvariantError, run_gssi, run_si, run_ssi
-from .valuation import NotAdmissibleError, valuate
+from .valuation import NotAdmissibleError, game_index, is_admissible, valuate
 
 
 class InputError(Exception):
@@ -106,45 +106,22 @@ def _load_game(path: str) -> ParityGame:
     return pgsolver.parse_pgsolver(_read_text(path))
 
 
-def _sink_distances(game: ParityGame) -> dict[int, int]:
-    from collections import deque
-
-    reverse: dict[int, list[int]] = {v: [] for v in game.node_ids}
-    for v in game.node_ids:
-        for w in game.successors(v):
-            reverse[w].append(v)
-    dist = {game.sink: 0}
-    queue = deque([game.sink])
-    while queue:
-        w = queue.popleft()
-        for v in reverse[w]:
-            if v not in dist:
-                dist[v] = dist[w] + 1
-                queue.append(v)
-    return dist
-
-
 def _default_strategy(game: ParityGame, player: int) -> Strategy:
     """An admissible starting strategy found by simple sink-seeking
     heuristics; admissibility is checked, not assumed."""
-    dist = _sink_distances(game)
-    far = game.num_nodes + 1
+    gi = game_index(game)
 
     def greedy(tie_high: bool) -> Strategy:
         choice = {}
         for v in game.nodes_of(player):
             succs = game.successors(v)
-            key = lambda w: (dist.get(w, far), -w if tie_high else w)
+            key = lambda w: (gi.sink_dist[gi.index[w]], -w if tie_high else w)
             choice[v] = min(succs, key=key)
         return Strategy(player, choice)
 
-    candidates = [greedy(tie_high=False), greedy(tie_high=True)]
-    for candidate in candidates:
-        try:
-            valuate(game, candidate)
-        except NotAdmissibleError:
-            continue
-        return candidate
+    for candidate in (greedy(tie_high=False), greedy(tie_high=True)):
+        if is_admissible(game, candidate):
+            return candidate
     raise InputError(
         f"no admissible default strategy found for player {player}; "
         f"provide one with {'--sigma0' if player == PLAYER0 else '--tau0'}"

@@ -243,19 +243,3 @@ def infer_sink(game: ParityGame) -> int | None:
     if game.successors(candidate) != (candidate,):
         return None
     return candidate
-
-
-def is_admissible(game: ParityGame, strategy: Strategy) -> bool:
-    """True iff every cycle avoiding the sink in the strategy subgraph has
-    its top priority of the strategy owner's winning parity.
-
-    Decided by running the valuation fixpoint and reporting whether it
-    stabilizes at finite values.
-    """
-    from . import valuation
-
-    try:
-        valuation.valuate(game, strategy)
-    except valuation.NotAdmissibleError:
-        return False
-    return True

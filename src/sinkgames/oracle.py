@@ -29,6 +29,16 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
+@dataclass(frozen=True)
+class OptimalResponse:
+    """Node-wise optimal play values against a fixed strategy, plus one
+    opposing strategy that attains them everywhere."""
+
+    player: int
+    values: dict[int, PlayValue]
+    counter: Strategy
+
+
 def _check_nodes(game: ParityGame, budget: EnumerationBudget) -> None:
     if game.num_nodes > budget.max_nodes:
         raise BudgetExceededError(
@@ -128,16 +138,13 @@ def is_admissible_bruteforce(
 
 def enumerate_optimal_response(
     game: ParityGame, strategy: Strategy, budget: EnumerationBudget = DEFAULT_BUDGET
-):
+) -> OptimalResponse:
     """Node-wise optimal play value over all opposing positional strategies,
     plus one response attaining it everywhere.
 
-    Returns a :class:`sinkgames.valuation.Valuation`. Raises
-    BudgetExceededError when enumeration is too large and ValueError if no
-    single response attains the optimum at all nodes simultaneously.
+    Raises BudgetExceededError when enumeration is too large and ValueError
+    if no single response attains the optimum at all nodes simultaneously.
     """
-    from .valuation import Valuation
-
     _check_nodes(game, budget)
     opponent = 1 - strategy.player
     if _strategy_count(game, opponent) > budget.max_strategies:
@@ -158,7 +165,7 @@ def enumerate_optimal_response(
         pair = (strategy, response) if minimize else (response, strategy)
         values = play_values(game, *pair)
         if all(compare(values[v], best[v]) == 0 for v in values):
-            return Valuation(strategy.player, best, response)
+            return OptimalResponse(strategy.player, best, response)
     raise ValueError("no single response attains the node-wise optimum")
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .game import PLAYER0, PLAYER1, NodeRecord, ParityGame, Strategy
 from .rules import ImprovementRule, switch_all_rule
 from .solvers import IterationTrace, SolveResult, SolverInvariantError, run_si, verify_optimal
-from .valuation import valuate
 
 
 @dataclass(frozen=True)
@@ -208,8 +207,8 @@ def extract_winners(
     certificate = verify_optimal(reduced, optimal.sigma, optimal.tau)
     if not certificate.ok:
         raise SolverInvariantError(f"strategies are not optimal: {certificate.describe()}")
-    xi = valuate(reduced, optimal.sigma)
-    w0 = frozenset(v for v in rmap.original_ids if xi.values[v].count(rmap.pw) == 1)
+    xi = certificate.xi_sigma
+    w0 = frozenset(v for v in rmap.original_ids if xi.count(v, rmap.pw) == 1)
     w1 = rmap.original_ids - w0
 
     def compose(choice: dict[int, int]) -> dict[int, int]:

@@ -10,23 +10,37 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Protocol
+from collections.abc import Sequence
+from typing import Callable
 
-from .game import PLAYER0, ParityGame
-from .valuation import Valuation
+from .game import PLAYER0, PLAYER1
+from .valuation import GameIndex
 
 Edge = tuple[int, int]
 
 
-class RuleContext(Protocol):
-    """What a rule may ask about the current iteration."""
+class RuleContext:
+    """What a rule may ask about the current iteration, answered from each
+    player's encoded valuation (``Valuation.codes`` or a solver's value
+    array) over ``gi``; a player without one is ``None``."""
 
-    def owner(self, v: int) -> int: ...
+    __slots__ = ("gi", "codes_by_owner")
+
+    def __init__(self, gi: GameIndex, codes0: Sequence[int] | None, codes1: Sequence[int] | None):
+        self.gi = gi
+        self.codes_by_owner = {PLAYER0: codes0, PLAYER1: codes1}
+
+    def owner(self, v: int) -> int:
+        return PLAYER0 if self.gi.owner0[self.gi.index[v]] else PLAYER1
 
     def prefers(self, owner: int, a: int, b: int) -> bool:
         """Strictly better target ``a`` over ``b`` for ``owner``'s nodes,
         under that owner's current valuation."""
-        ...
+        codes = self.codes_by_owner[owner]
+        if codes is None:
+            raise ValueError(f"no valuation available for player {owner}")
+        xa, xb = codes[self.gi.index[a]], codes[self.gi.index[b]]
+        return xa > xb if owner == PLAYER0 else xa < xb
 
 
 @dataclass(frozen=True)
@@ -115,39 +129,3 @@ def make_rule(name: str, seed: int | None = None) -> ImprovementRule:
     if name == "random":
         return random_subset_rule(0 if seed is None else seed)
     raise ValueError(f"unknown improvement rule {name!r}")
-
-
-@dataclass(frozen=True)
-class ValuationContext:
-    """Rule context backed by decoded valuations, for direct rule calls."""
-
-    game: ParityGame
-    by_owner: Mapping[int, Valuation]
-
-    def owner(self, v: int) -> int:
-        return self.game.owner(v)
-
-    def prefers(self, owner: int, a: int, b: int) -> bool:
-        xi = self.by_owner[owner]
-        if owner == PLAYER0:
-            return xi.values[a] > xi.values[b]
-        return xi.values[a] < xi.values[b]
-
-
-def rule_switch_all(
-    candidates: Iterable[Edge], game: ParityGame, valuations: Mapping[int, Valuation]
-) -> frozenset[Edge]:
-    """Switch-all over an explicit candidate set; ``valuations`` maps each
-    owner to the valuation its nodes are judged by."""
-    ctx = ValuationContext(game, valuations)
-    return frozenset(_switch_all(sorted(candidates), ctx))
-
-
-def rule_single_lowest(candidates: Iterable[Edge]) -> frozenset[Edge]:
-    """The single lexicographically smallest candidate edge."""
-    return frozenset(_single_lowest(sorted(candidates), None))
-
-
-def rule_random_subset(candidates: Iterable[Edge], seed: int) -> frozenset[Edge]:
-    """Seed-deterministic uniform nonempty sub-selection, one edge per node."""
-    return frozenset(_random_subset(seed)(sorted(candidates), None))

@@ -17,19 +17,20 @@ counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .game import PLAYER0, PLAYER1, ParityGame, Strategy, check_strategy
-from .rules import Edge, ImprovementRule
+from .rules import Edge, ImprovementRule, RuleContext
 from .valuation import (
-    GameIndex,
     Valuation,
     counter_choices,
     game_index,
+    improving_edges,
     improving_moves,
     solve_values,
     valuate,
     valuation_from_codes,
+    weak_edges,
 )
 
 SI = "si"
@@ -81,6 +82,9 @@ class OptimalityCertificate:
     improving_sigma: frozenset[Edge]
     improving_tau: frozenset[Edge]
     mismatched_nodes: tuple[int, ...]
+    # player 0's valuation the check ran on; on an optimal pair it is also
+    # player 1's, node for node
+    xi_sigma: Valuation = field(repr=False, compare=False)
 
     def describe(self) -> str:
         if self.ok:
@@ -93,27 +97,6 @@ class OptimalityCertificate:
         if self.mismatched_nodes:
             parts.append(f"valuation mismatch at nodes {list(self.mismatched_nodes)}")
         return "; ".join(parts)
-
-
-class _EncodedContext:
-    """Rule context answering owner and target-preference queries from the
-    solver's encoded value arrays."""
-
-    __slots__ = ("gi", "vals_by_owner")
-
-    def __init__(self, gi: GameIndex, vals0: list[int] | None, vals1: list[int] | None):
-        self.gi = gi
-        self.vals_by_owner = {PLAYER0: vals0, PLAYER1: vals1}
-
-    def owner(self, v: int) -> int:
-        return PLAYER0 if self.gi.owner0[self.gi.index[v]] else PLAYER1
-
-    def prefers(self, owner: int, a: int, b: int) -> bool:
-        vals = self.vals_by_owner[owner]
-        if vals is None:
-            raise SolverInvariantError(f"no valuation available for player {owner}")
-        xa, xb = vals[self.gi.index[a]], vals[self.gi.index[b]]
-        return xa > xb if owner == PLAYER0 else xa < xb
 
 
 def _strategy_pair_bound(game: ParityGame, cap: int = 10**12) -> int:
@@ -135,7 +118,6 @@ def _run_loop(
     gi = game_index(game)
     ids = gi.ids
     index = gi.index
-    adj = gi.adj_unique
 
     sigma = gi.strategy_array(sigma0) if sigma0 is not None else None
     tau = gi.strategy_array(tau0) if tau0 is not None else None
@@ -167,23 +149,13 @@ def _run_loop(
         if sigma_dirty:
             assert sigma is not None and sf0 is not None and sr0 is not None
             vals0 = solve_values(gi, sf0, sr0, minimize=True)
-            i_sigma = []
-            for v in gi.nodes0:
-                current = vals0[sigma[v]]
-                for w in adj[v]:
-                    if vals0[w] > current:
-                        i_sigma.append((v, w))
+            i_sigma = improving_edges(gi, sigma, vals0, PLAYER0)
             sigma_bar = {}
             sigma_dirty = False
         if tau_dirty:
             assert tau is not None and sf1 is not None and sr1 is not None
             vals1 = solve_values(gi, sf1, sr1, minimize=False)
-            i_tau = []
-            for v in gi.nodes1:
-                current = vals1[tau[v]]
-                for w in adj[v]:
-                    if vals1[w] < current:
-                        i_tau.append((v, w))
+            i_tau = improving_edges(gi, tau, vals1, PLAYER1)
             tau_bar = {}
             tau_dirty = False
 
@@ -206,12 +178,8 @@ def _run_loop(
                 if w == best:
                     candidates.append((v, w))
         else:  # GSSI
-            for v, w in i_sigma:
-                if vals1[w] >= vals1[sigma[v]]:
-                    candidates.append((v, w))
-            for v, w in i_tau:
-                if vals0[w] <= vals0[tau[v]]:
-                    candidates.append((v, w))
+            candidates = weak_edges(i_sigma, sigma, vals1, PLAYER0)
+            candidates += weak_edges(i_tau, tau, vals0, PLAYER1)
 
         if not candidates:
             records.append(
@@ -219,7 +187,7 @@ def _run_loop(
             )
             break
 
-        ctx = _EncodedContext(gi, vals0, vals1)
+        ctx = RuleContext(gi, vals0, vals1)
         id_candidates = sorted((ids[v], ids[w]) for v, w in candidates)
         chosen = rule.select(id_candidates, ctx)
         if not chosen:
@@ -305,11 +273,12 @@ def verify_optimal(game: ParityGame, sigma: Strategy, tau: Strategy) -> Optimali
     xi_tau = valuate(game, tau)
     imp_sigma = improving_moves(game, sigma, xi_sigma)
     imp_tau = improving_moves(game, tau, xi_tau)
+    # both valuations share the game's codec, so equal codes mean equal values
     mismatched = tuple(
-        v for v in game.node_ids if xi_sigma.values[v] != xi_tau.values[v]
+        v for v, a, b in zip(game.node_ids, xi_sigma.codes, xi_tau.codes) if a != b
     )
     ok = not imp_sigma and not imp_tau and not mismatched
-    return OptimalityCertificate(ok, imp_sigma, imp_tau, mismatched)
+    return OptimalityCertificate(ok, imp_sigma, imp_tau, mismatched, xi_sigma)
 
 
 def replay_trace(

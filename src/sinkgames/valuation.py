@@ -8,18 +8,22 @@ opponent-optimal successor value.
 
 The fixpoint runs on integer-encoded play values (see
 :class:`sinkgames.playvalues.ValueCodec`) so that relaxation is plain
-integer arithmetic; results are decoded at the boundary. Any relaxation
-schedule reaches the same fixpoint, which is what makes runs reproducible.
+integer arithmetic. Values stay encoded inside the library: the candidate
+sets I and J are computed on the code arrays, and a :class:`Valuation`
+decodes its play values only when they are read. Any relaxation schedule
+reaches the same fixpoint, which is what makes runs reproducible.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .game import PLAYER0, ParityGame, Strategy, check_strategy
-from .playvalues import GREATER, LESS, PlayValue, ValueCodec, compare
+from .playvalues import PlayValue, ValueCodec
 
 
 class NotAdmissibleError(Exception):
@@ -27,25 +31,15 @@ class NotAdmissibleError(Exception):
     sink off entirely), so no finite valuation exists."""
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """Node values of one player's strategy plus the optimal response that
-    witnesses them."""
-
-    player: int
-    values: dict[int, PlayValue]
-    counter: Strategy
-
-
 class GameIndex:
     """Dense per-game arrays used by the fixpoint engine and solver loops.
 
     Indexes are positions in the ascending node-id order, so index order and
-    id order agree for tie-breaking purposes.
+    id order agree for tie-breaking purposes. The index holds no reference
+    to its game, so a cached index never keeps a game alive.
     """
 
     __slots__ = (
-        "game",
         "ids",
         "index",
         "owner0",
@@ -55,6 +49,7 @@ class GameIndex:
         "codec",
         "sink",
         "order",
+        "sink_dist",
         "nodes0",
         "nodes1",
         "finite_bound",
@@ -65,7 +60,6 @@ class GameIndex:
     def __init__(self, game: ParityGame):
         if game.sink is None:
             raise ValueError("game has no designated sink node")
-        self.game = game
         ids = game.node_ids
         n = len(ids)
         self.ids = ids
@@ -83,29 +77,31 @@ class GameIndex:
         self.finite_bound = 2 * self.codec.base ** len(self.codec.priorities)
         self.pos_init = 4 * self.codec.base ** (len(self.codec.priorities) + 1)
         self.neg_init = -self.pos_init
-        self.order = self._eval_order()
+        self.order, self.sink_dist = self._sink_bfs()
 
-    def _eval_order(self) -> tuple[int, ...]:
-        """Sink-BFS order over reversed edges: nodes near the sink relax
-        first, which converges in few sweeps on sink-directed graphs."""
+    def _sink_bfs(self) -> tuple[tuple[int, ...], list[int]]:
+        """Sink-BFS over reversed edges. Returns the evaluation order, in
+        which nodes near the sink relax first (few sweeps on sink-directed
+        graphs), and each node's edge distance to the sink, ``len(ids)``
+        where the sink is unreachable."""
         n = len(self.ids)
         reverse: list[list[int]] = [[] for _ in range(n)]
         for v in range(n):
             for w in self.adj[v]:
                 reverse[w].append(v)
-        seen = [False] * n
-        seen[self.sink] = True
+        dist = [n] * n
+        dist[self.sink] = 0
         queue = deque([self.sink])
         order: list[int] = []
         while queue:
             w = queue.popleft()
             for v in reverse[w]:
-                if not seen[v]:
-                    seen[v] = True
+                if dist[v] == n:
+                    dist[v] = dist[w] + 1
                     order.append(v)
                     queue.append(v)
-        order.extend(v for v in range(n) if not seen[v])
-        return tuple(order)
+        order.extend(v for v in range(n) if dist[v] == n)
+        return tuple(order), dist
 
     def subgraph_arrays(
         self, strat: list[int | None], player: int
@@ -138,14 +134,41 @@ class GameIndex:
         return values
 
 
-# identity-keyed: games are value-comparable but the index binds to one object
+@dataclass(frozen=True)
+class Valuation:
+    """Node values of one player's strategy plus the optimal response that
+    witnesses them.
+
+    The values are held encoded: ``codes[i]`` belongs to node ``gi.ids[i]``
+    under ``gi.codec``. ``values`` decodes them all when it is first read.
+    """
+
+    player: int
+    codes: tuple[int, ...]
+    counter: Strategy
+    gi: GameIndex = field(repr=False, compare=False)
+
+    @cached_property
+    def values(self) -> dict[int, PlayValue]:
+        decode = self.gi.codec.decode
+        return {v: decode(code) for v, code in zip(self.gi.ids, self.codes)}
+
+    def count(self, v: int, priority: int) -> int:
+        """How often ``priority`` occurs in node ``v``'s value, read off its
+        code without decoding it."""
+        return self.gi.codec.digit(self.codes[self.gi.index[v]], priority)
+
+
+# identity-keyed: games are value-comparable but the index binds to one
+# object; the entry dies with its game, so a later game reusing the id
+# never finds it
 _INDEX_CACHE: dict[int, GameIndex] = {}
 
 
 def game_index(game: ParityGame) -> GameIndex:
     key = id(game)
     gi = _INDEX_CACHE.get(key)
-    if gi is None or gi.game is not game:
+    if gi is None:
         gi = GameIndex(game)
         _INDEX_CACHE[key] = gi
         weakref.finalize(game, _INDEX_CACHE.pop, key, None)
@@ -250,15 +273,13 @@ def counter_choices(
 
 
 def valuation_from_codes(gi: GameIndex, values: list[int], player: int) -> Valuation:
-    """Decode an encoded value array into a full Valuation with its
+    """Wrap an encoded value array into a Valuation with its
     tie-break-deterministic counterstrategy."""
     minimize = player == PLAYER0
     opponent_nodes = gi.nodes1 if minimize else gi.nodes0
     counter_idx = counter_choices(gi, values, minimize, opponent_nodes)
-    codec = gi.codec
-    decoded = {gi.ids[v]: codec.decode(code) for v, code in enumerate(values)}
     counter = Strategy(1 - player, {gi.ids[v]: gi.ids[w] for v, w in counter_idx.items()})
-    return Valuation(player, decoded, counter)
+    return Valuation(player, tuple(values), counter, gi)
 
 
 def valuate(game: ParityGame, strategy: Strategy) -> Valuation:
@@ -277,19 +298,72 @@ def valuate(game: ParityGame, strategy: Strategy) -> Valuation:
     return valuation_from_codes(gi, values, strategy.player)
 
 
+def is_admissible(game: ParityGame, strategy: Strategy) -> bool:
+    """True iff every cycle avoiding the sink in the strategy subgraph has
+    its top priority of the strategy owner's winning parity.
+
+    Decided by running the valuation fixpoint and reporting whether it
+    stabilizes at finite values.
+    """
+    check_strategy(game, strategy)
+    gi = game_index(game)
+    succ_first, succ_rest = gi.subgraph_arrays(gi.strategy_array(strategy), strategy.player)
+    try:
+        solve_values(gi, succ_first, succ_rest, strategy.player == PLAYER0)
+    except NotAdmissibleError:
+        return False
+    return True
+
+
+def improving_edges(
+    gi: GameIndex, strat: list[int | None], codes: Sequence[int], player: int
+) -> list[tuple[int, int]]:
+    """The strict-improvement set I as index edges: moves of ``player``
+    whose target beats the current choice under the player's own codes."""
+    adj = gi.adj_unique
+    out = []
+    if player == PLAYER0:
+        for v in gi.nodes0:
+            current = codes[strat[v]]
+            for w in adj[v]:
+                if codes[w] > current:
+                    out.append((v, w))
+    else:
+        for v in gi.nodes1:
+            current = codes[strat[v]]
+            for w in adj[v]:
+                if codes[w] < current:
+                    out.append((v, w))
+    return out
+
+
+def weak_edges(
+    edges: list[tuple[int, int]],
+    strat: list[int | None],
+    opponent_codes: Sequence[int],
+    player: int,
+) -> list[tuple[int, int]]:
+    """The index edges of ``edges`` in the weak set J: moves of ``player``
+    whose target is at least as good for the player as the current choice
+    under the opponent's codes."""
+    if player == PLAYER0:
+        return [(v, w) for v, w in edges if opponent_codes[w] >= opponent_codes[strat[v]]]
+    return [(v, w) for v, w in edges if opponent_codes[w] <= opponent_codes[strat[v]]]
+
+
+def _id_edges(gi: GameIndex, edges: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    ids = gi.ids
+    return frozenset((ids[v], ids[w]) for v, w in edges)
+
+
 def improving_moves(
     game: ParityGame, strategy: Strategy, xi: Valuation
 ) -> frozenset[tuple[int, int]]:
     """Edges whose target strictly improves on the current choice's target
     under the player's own valuation."""
-    better = GREATER if strategy.player == PLAYER0 else LESS
-    out = set()
-    for v in game.nodes_of(strategy.player):
-        current = xi.values[strategy.choice[v]]
-        for w in game.successors(v):
-            if compare(xi.values[w], current) == better:
-                out.add((v, w))
-    return frozenset(out)
+    gi = game_index(game)
+    strat = gi.strategy_array(strategy)
+    return _id_edges(gi, improving_edges(gi, strat, xi.codes, strategy.player))
 
 
 def j_set(
@@ -298,13 +372,8 @@ def j_set(
     """Edges whose target is weakly better for the player than the current
     choice under the *opponent's* valuation; always contains the current
     choices themselves."""
-    player = strategy.player
-    out = set()
-    for v in game.nodes_of(player):
-        current = xi_opponent.values[strategy.choice[v]]
-        for w in game.successors(v):
-            order = compare(xi_opponent.values[w], current)
-            keep = order >= 0 if player == PLAYER0 else order <= 0
-            if keep:
-                out.add((v, w))
-    return frozenset(out)
+    gi = game_index(game)
+    strat = gi.strategy_array(strategy)
+    nodes = gi.nodes0 if strategy.player == PLAYER0 else gi.nodes1
+    edges = [(v, w) for v in nodes for w in gi.adj_unique[v]]
+    return _id_edges(gi, weak_edges(edges, strat, xi_opponent.codes, strategy.player))

@@ -7,6 +7,8 @@ from sinkgames.cli import main
 from sinkgames.families import gen_table1
 from sinkgames.oracle import brute_force_winners
 from sinkgames.pgsolver import parse_pgsolver, write_pgsolver
+from sinkgames.playvalues import ValueCodec
+from sinkgames.reduction import solve_winners
 from sinkgames.traces import from_csv, from_json, parse_strategy_text
 
 
@@ -183,6 +185,27 @@ class TestWinners:
         )
         assert code == 0
         assert s_file.exists() and t_file.exists()
+
+
+class TestDecodeFree:
+    """Values stay encoded on every path whose output needs no PlayValue."""
+
+    def test_winners_and_traced_solve_never_decode(self, tmp_path, capsys, monkeypatch):
+        def refuse(self, code):
+            raise AssertionError("a play value was decoded")
+
+        monkeypatch.setattr(ValueCodec, "decode", refuse)
+        game = random_parity_game(random.Random(157), min_nodes=20, max_nodes=30)
+        result = solve_winners(game)
+        assert result.w0 | result.w1 == frozenset(game.node_ids)
+        trace = tmp_path / "run.csv"
+        code, out, _ = run_cli(
+            capsys, "solve", "--algo", "ssi", "--family", "table1", "--n", "4",
+            "--trace", str(trace),
+        )
+        assert code == 0
+        assert "certificate: verified" in out
+        assert from_csv(trace.read_text()).certificate == "verified"
 
 
 class TestExperiment:

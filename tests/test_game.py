@@ -11,11 +11,11 @@ from sinkgames.game import (
     ParityGame,
     Strategy,
     infer_sink,
-    is_admissible,
     strategy_subgraph,
     validate_game,
 )
 from sinkgames.reduction import reduce_game
+from sinkgames.valuation import is_admissible
 
 
 class TestValidateGame:

@@ -127,7 +127,11 @@ class TestCodec:
                 q: rng.randint(1, 30) for q in rng.sample(priorities, rng.randint(0, 5))
             }
             value = pv(counts)
-            assert codec.decode(codec.encode(value)) == value
+            code = codec.encode(value)
+            assert codec.decode(code) == value
+            assert [codec.digit(code, q) for q in priorities] == [
+                value.count(q) for q in priorities
+            ]
 
     def test_order_isomorphism(self):
         rng = random.Random(11)

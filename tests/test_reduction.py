@@ -11,7 +11,6 @@ from sinkgames.game import (
     NodeRecord,
     ParityGame,
     Strategy,
-    is_admissible,
     validate_game,
 )
 from sinkgames.oracle import brute_force_winners, walk_winner, all_strategies
@@ -25,6 +24,7 @@ from sinkgames.reduction import (
 )
 from sinkgames.rules import switch_all_rule
 from sinkgames.solvers import SolveResult, IterationTrace, SolverInvariantError, run_si
+from sinkgames.valuation import is_admissible
 
 
 class TestBreakCycles:

@@ -6,12 +6,20 @@ import pytest
 
 from sinkgames.families import gen_table1
 from sinkgames.rules import (
+    RuleContext,
     make_rule,
-    rule_random_subset,
-    rule_single_lowest,
-    rule_switch_all,
+    random_subset_rule,
+    single_lowest_rule,
+    switch_all_rule,
 )
-from sinkgames.valuation import valuate
+from sinkgames.valuation import game_index, valuate
+
+
+def context(game, xi_sigma=None, xi_tau=None):
+    """The rule context of a game state given by each player's valuation."""
+    codes0 = None if xi_sigma is None else xi_sigma.codes
+    codes1 = None if xi_tau is None else xi_tau.codes
+    return RuleContext(game_index(game), codes0, codes1)
 
 
 def random_edge_set(rng, max_sources=6, max_targets=4):
@@ -46,7 +54,8 @@ class TestRuleAxioms:
             for v in inst.game.node_ids
             for w in inst.game.successors(v)
         }
-        chosen = rule_switch_all(candidates, inst.game, {0: xi_sigma, 1: xi_tau})
+        ctx = context(inst.game, xi_sigma, xi_tau)
+        chosen = set(switch_all_rule().select(sorted(candidates), ctx))
         assert chosen <= candidates
         sources = [v for v, _ in chosen]
         assert len(sources) == len(set(sources))
@@ -58,7 +67,8 @@ class TestSwitchAll:
         inst = gen_table1(1)
         xi_sigma = valuate(inst.game, inst.sigma0)
         a1, d2 = inst.id_of("a1"), inst.id_of("d2")
-        assert rule_switch_all({(a1, d2)}, inst.game, {0: xi_sigma}) == {(a1, d2)}
+        ctx = context(inst.game, xi_sigma)
+        assert switch_all_rule().select([(a1, d2)], ctx) == [(a1, d2)]
 
     def test_picks_best_target_for_owner(self):
         inst = gen_table1(2)
@@ -67,8 +77,9 @@ class TestSwitchAll:
         a2 = inst.id_of("a2")
         targets = sorted(game.successors(a2), key=lambda w: xi_sigma.values[w])
         worst, best = targets[0], targets[-1]
-        chosen = rule_switch_all({(a2, worst), (a2, best)}, game, {0: xi_sigma})
-        assert chosen == {(a2, best)}
+        ctx = context(game, xi_sigma)
+        chosen = switch_all_rule().select(sorted({(a2, worst), (a2, best)}), ctx)
+        assert chosen == [(a2, best)]
 
     def test_tie_breaks_to_smallest_target(self):
         inst = gen_table1(1)
@@ -78,45 +89,49 @@ class TestSwitchAll:
         # craft a tie by comparing a target against itself under both names
         a2, d2 = inst.id_of("a2"), inst.id_of("d2")
         if xi_tau.values[a2] == xi_tau.values[d2]:
-            chosen = rule_switch_all({(d1, a2), (d1, d2)}, game, {1: xi_tau})
-            assert chosen == {(d1, min(a2, d2))}
+            ctx = context(game, xi_tau=xi_tau)
+            chosen = switch_all_rule().select(sorted({(d1, a2), (d1, d2)}), ctx)
+            assert chosen == [(d1, min(a2, d2))]
 
     def test_empty_input(self):
         inst = gen_table1(1)
-        assert rule_switch_all(set(), inst.game, {}) == frozenset()
+        assert switch_all_rule().select([], context(inst.game)) == []
 
 
 class TestSingleLowest:
     def test_lexicographic_choice(self):
-        assert rule_single_lowest({(3, 5), (2, 7)}) == {(2, 7)}
+        assert single_lowest_rule().select(sorted({(3, 5), (2, 7)}), None) == [(2, 7)]
 
     def test_singleton(self):
-        assert rule_single_lowest({(4, 1)}) == {(4, 1)}
+        assert single_lowest_rule().select([(4, 1)], None) == [(4, 1)]
 
     def test_empty(self):
-        assert rule_single_lowest(set()) == frozenset()
+        assert single_lowest_rule().select([], None) == []
 
 
 class TestRandomSubset:
     def test_empty(self):
-        assert rule_random_subset(set(), seed=1) == frozenset()
+        assert random_subset_rule(1).select([], None) == []
 
     def test_singleton_forced(self):
         for seed in range(10):
-            assert rule_random_subset({(1, 2)}, seed=seed) == {(1, 2)}
+            assert random_subset_rule(seed).select([(1, 2)], None) == [(1, 2)]
 
     def test_deterministic_per_seed(self):
         rng = random.Random(67)
         for _ in range(50):
             candidates = random_edge_set(rng)
             for seed in (0, 3, 11):
-                first = rule_random_subset(candidates, seed)
-                second = rule_random_subset(candidates, seed)
+                first = random_subset_rule(seed).select(sorted(candidates), None)
+                second = random_subset_rule(seed).select(sorted(candidates), None)
                 assert first == second
 
     def test_seeds_vary_choices(self):
         candidates = {(v, w) for v in range(4) for w in (10, 11, 12)}
-        outcomes = {rule_random_subset(candidates, seed) for seed in range(30)}
+        outcomes = {
+            frozenset(random_subset_rule(seed).select(sorted(candidates), None))
+            for seed in range(30)
+        }
         assert len(outcomes) > 3
 
     def test_make_rule_unknown_name(self):

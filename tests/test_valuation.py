@@ -1,5 +1,6 @@
 """Valuation fixpoint, counterstrategies, improving moves, weak candidates."""
 
+import gc
 import random
 
 import pytest
@@ -13,7 +14,9 @@ from sinkgames.families import gen_table1
 from sinkgames.game import NodeRecord, ParityGame, Strategy
 from sinkgames.oracle import enumerate_optimal_response, play_values
 from sinkgames.playvalues import PlayValue, compare
+from sinkgames.solvers import verify_optimal
 from sinkgames.valuation import (
+    _INDEX_CACHE,
     NotAdmissibleError,
     improving_moves,
     j_set,
@@ -264,3 +267,72 @@ class TestJSet:
             assert (i_sigma & tau_bar_edges) <= (i_sigma & j_set(game, sigma, xi_tau))
             assert (i_tau & sigma_bar_edges) <= (i_tau & j_set(game, tau, xi_sigma))
             checked += 1
+
+
+class TestEncodedFilters:
+    """The encoded candidate sets against a reference computed in the play
+    value order from decoded valuations."""
+
+    @staticmethod
+    def reference(game, sigma, tau):
+        xs, xt = valuate(game, sigma).values, valuate(game, tau).values
+
+        def edges(strategy, values, strict):
+            sign = 1 if strategy.player == 0 else -1
+            out = set()
+            for v in game.nodes_of(strategy.player):
+                for w in game.successors(v):
+                    order = sign * compare(values[w], values[strategy.choice[v]])
+                    if order > 0 or (order == 0 and not strict):
+                        out.add((v, w))
+            return out
+
+        mismatched = tuple(v for v in game.node_ids if compare(xs[v], xt[v]) != 0)
+        return {
+            "i_sigma": edges(sigma, xs, True),
+            "i_tau": edges(tau, xt, True),
+            "j_sigma": edges(sigma, xt, False),
+            "j_tau": edges(tau, xs, False),
+            "mismatched": mismatched,
+        }
+
+    def test_match_decoded_reference_on_non_optimal_pairs(self):
+        rng = random.Random(163)
+        checked = 0
+        with_mismatch = 0
+        while checked < 80:
+            game = random_sink_game(rng, max_nodes=10)
+            pair = admissible_pair(game, rng)
+            if pair is None:
+                continue
+            sigma, tau = pair
+            certificate = verify_optimal(game, sigma, tau)
+            if certificate.ok:
+                continue
+            ref = self.reference(game, sigma, tau)
+            xi_sigma, xi_tau = valuate(game, sigma), valuate(game, tau)
+            assert certificate.improving_sigma == ref["i_sigma"]
+            assert certificate.improving_tau == ref["i_tau"]
+            assert certificate.mismatched_nodes == ref["mismatched"]
+            assert improving_moves(game, sigma, xi_sigma) == ref["i_sigma"]
+            assert improving_moves(game, tau, xi_tau) == ref["i_tau"]
+            assert j_set(game, sigma, xi_tau) == ref["j_sigma"]
+            assert j_set(game, tau, xi_sigma) == ref["j_tau"]
+            with_mismatch += bool(ref["mismatched"])
+            checked += 1
+        assert with_mismatch > 20
+
+
+class TestIndexCache:
+    def test_discarded_games_leave_the_cache(self):
+        gc.collect()
+        start = len(_INDEX_CACHE)
+        rng = random.Random(167)
+        for _ in range(25):
+            game = random_sink_game(rng)
+            strategy = random_admissible_strategy(game, 0, rng)
+            if strategy is not None:
+                valuate(game, strategy)
+            del game, strategy
+        gc.collect()
+        assert len(_INDEX_CACHE) == start
