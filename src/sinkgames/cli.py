@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -220,7 +220,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             raise InputError("run produced no player 1 strategy for --tau-out")
         _write_text(args.tau_out, traces.write_strategy_text(result.tau))
     if args.trace:
-        trace = traces.build_trace_file(game, result, game_id, args.algo, args.rule, args.seed)
+        trace = traces.build_trace_file(
+            game, result, game_id, args.algo, args.rule, args.seed, certificate=status
+        )
         if args.trace.endswith(".csv"):
             _write_text(args.trace, traces.to_csv(trace))
         elif args.trace.endswith(".json"):

@@ -234,12 +234,15 @@ def validate_game(game: ParityGame, require_sink: bool = False) -> list[Violatio
 def infer_sink(game: ParityGame) -> int | None:
     """The unique strictly-minimal-priority node whose only edge is its
     self-loop, or None if no such node exists."""
-    if not game.node_ids:
+    return sink_of(game.nodes, game._edges)
+
+
+def sink_of(nodes: Sequence[NodeRecord], edges: Mapping[int, Sequence[int]]) -> int | None:
+    """:func:`infer_sink` on the parts of a game before it is built."""
+    if not nodes:
         return None
-    by_priority = sorted(game.node_ids, key=game.priority)
-    candidate = by_priority[0]
-    if len(by_priority) > 1 and game.priority(by_priority[1]) == game.priority(candidate):
+    low = min(rec.priority for rec in nodes)
+    lowest = [rec.id for rec in nodes if rec.priority == low]
+    if len(lowest) > 1 or tuple(edges.get(lowest[0], ())) != (lowest[0],):
         return None
-    if game.successors(candidate) != (candidate,):
-        return None
-    return candidate
+    return lowest[0]

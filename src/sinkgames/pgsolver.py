@@ -5,17 +5,43 @@ statement per node::
 
     <id> <priority> <owner> <succ>,<succ>,... ["<label>"];
 
-Statements end with ``;`` and may share lines. Owners are 0 or 1 and
-priorities are nonnegative integers. The writer emits a canonical form
-(header, one node per line in ascending id order) that parses back to the
-same in-memory game; the sink designation is re-inferred on parse.
+Statements end with ``;`` and may share lines; spaces, tabs and line
+breaks separate tokens. Numbers are runs of the ASCII digits ``0``-``9``
+only; any other digit is an unexpected character. Owners are 0 or 1 and
+priorities are nonnegative. With a header, no node id may exceed its
+``<max-id>``; without one, ids are unbounded. A label runs to the next
+``"`` on its line, so it may contain ``;`` but not ``"`` or a line break.
+The writer refuses such labels and negative priorities, and otherwise
+emits a canonical form (header, one node per line in ascending id order)
+that parses back to the same in-memory game; the sink designation is
+re-inferred on parse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NoReturn
 
-from .game import NodeRecord, ParityGame, infer_sink, validate_game
+from .game import NodeRecord, ParityGame, sink_of
+
+# One node statement after any empty ones: id, priority, owner, successor
+# list, optional label. Numbers that follow each other need a space between
+# them; anything else may touch.
+_NODE = re.compile(
+    r'[ \t\r\n;]*([0-9]+)[ \t\r\n]+([0-9]+)[ \t\r\n]+([01])[ \t\r\n]+'
+    r'([0-9]+(?:[ \t\r\n]*,[ \t\r\n]*[0-9]+)*)[ \t\r\n]*(?:"([^"\n]*)"[ \t\r\n]*)?;',
+    re.ASCII,
+)
+_HEADER = re.compile(r"[ \t\r\n;]*parity[ \t\r\n]+([0-9]+)[ \t\r\n]*;", re.ASCII)
+_BLANK = re.compile(r"[ \t\r\n;]*")
+# Error path only. Words are Unicode (letter or "_", then str.isalnum or
+# "_"), but only ASCII digits make a number.
+_TOKEN = re.compile(
+    r'[ \t\r\n]*(?:(?P<nat>[0-9]+)|(?P<word>\w+)|"(?P<string>[^"\n]*)"|(?P<open>")'
+    r"|(?P<comma>,)|(?P<semi>;)|(?P<char>[^ \t\r\n]))"
+)
+
+Token = tuple[str, str, int, int]  # kind, value, start offset, end offset
 
 
 class ParseError(Exception):
@@ -27,167 +53,125 @@ class ParseError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "nat", "word", "string", "comma", "semi"
-    value: str
-    line: int
-    column: int
+def _error(text: str, message: str, offset: int) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _scan(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch == ",":
-            tokens.append(_Token("comma", ",", line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == ";":
-            tokens.append(_Token("semi", ";", line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < len(text) and text[j] not in '"\n':
-                j += 1
-            if j >= len(text) or text[j] != '"':
-                raise ParseError("unterminated label string", line, start_col)
-            tokens.append(_Token("string", text[i + 1: j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("nat", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("word", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+def _tokens(text: str, start: int) -> list[Token]:
+    """The tokens of ``text`` from ``start`` on; raises at the first
+    character no token starts with and at an unterminated label."""
+    tokens = []
+    for m in _TOKEN.finditer(text, start):
+        kind = m.lastgroup
+        value = m[kind]
+        at = m.start(kind)
+        if kind == "open":
+            raise _error(text, "unterminated label string", at)
+        if kind == "char" or kind == "word" and not (value[0].isalpha() or value[0] == "_"):
+            raise _error(text, f"unexpected character {text[at]!r}", at)
+        if kind == "string":
+            at -= 1
+        tokens.append((kind, value, at, m.end(kind)))
     return tokens
 
 
-def _statements(tokens: list[_Token]) -> list[list[_Token]]:
-    out: list[list[_Token]] = []
-    current: list[_Token] = []
-    for token in tokens:
-        if token.kind == "semi":
-            if current:
-                out.append(current)
-                current = []
-            continue
-        current.append(token)
+def _reject(
+    text: str, start: int, seen: dict[int, int], max_id: int | None, first: bool
+) -> NoReturn:
+    """Raise the error of the statement at ``start``: the statement pattern
+    refused it, or its id is a duplicate or above the header's maximum.
+
+    Errors come in the order a tokenize-everything parser finds them: a bad
+    character or an unterminated statement anywhere after ``start`` wins
+    over a fault of this statement.
+    """
+    statements: list[list[Token]] = []
+    current: list[Token] = []
+    for token in _tokens(text, start):
+        if token[0] != "semi":
+            current.append(token)
+        elif current:
+            statements.append(current)
+            current = []
     if current:
-        last = current[-1]
-        raise ParseError("statement is missing its terminating ';'", last.line, last.column)
-    return out
+        raise _error(text, "statement is missing its terminating ';'", current[-1][2])
+    stmt = statements[0]
+    kind, value, at, _ = stmt[0]
+    if first and kind == "word":
+        if value != "parity":
+            raise _error(text, f"unknown keyword {value!r}", at)
+        raise _error(text, "header must be 'parity <max-id>;'", stmt[min(1, len(stmt) - 1)][2])
+
+    def expect(pos: int, kind: str, what: str) -> Token:
+        if pos >= len(stmt):
+            raise _error(text, f"expected {what}", stmt[-1][3])
+        token = stmt[pos]
+        if token[0] != kind:
+            raise _error(text, f"expected {what}, found {token[1]!r}", token[2])
+        return token
+
+    node_id = int(expect(0, "nat", "node id")[1])
+    if node_id in seen:
+        raise _error(text, f"duplicate node id {node_id}", at)
+    if max_id is not None and node_id > max_id:
+        raise _error(text, f"node id {node_id} exceeds the header's maximum {max_id}", at)
+    expect(1, "nat", "priority")
+    owner = expect(2, "nat", "owner (0 or 1)")
+    if owner[1] not in ("0", "1"):
+        raise _error(text, f"owner must be 0 or 1, found {owner[1]!r}", owner[2])
+    expect(3, "nat", "successor id")
+    pos = 4
+    while pos < len(stmt) and stmt[pos][0] == "comma":
+        expect(pos + 1, "nat", "successor id")
+        pos += 2
+    if pos < len(stmt) and stmt[pos][0] == "string":
+        pos += 1
+    if pos < len(stmt):
+        raise _error(text, f"unexpected token {stmt[pos][1]!r}", stmt[pos][2])
+    raise AssertionError(f"the statement at offset {start} is well formed")
 
 
 def parse_pgsolver(text: str) -> ParityGame:
     """Parse PGSolver text into a validated game.
 
     Syntax errors report line and column; semantic errors name the
-    offending node id (duplicates, dangling successors, no successors).
+    offending node id (duplicates, ids above the header's maximum,
+    dangling successors).
     """
-    tokens = _scan(text)
-    if not tokens:
-        raise ParseError("empty input", 1, 1)
-    statements = _statements(tokens)
-    if statements and statements[0][0].kind == "word":
-        head = statements[0]
-        if head[0].value != "parity":
-            raise ParseError(f"unknown keyword {head[0].value!r}", head[0].line, head[0].column)
-        if len(head) != 2 or head[1].kind != "nat":
-            tok = head[min(1, len(head) - 1)]
-            raise ParseError("header must be 'parity <max-id>;'", tok.line, tok.column)
-        statements = statements[1:]
-    if not statements:
-        raise ParseError("no node statements", 1, 1)
-
     records: list[NodeRecord] = []
     edges: dict[int, tuple[int, ...]] = {}
-    seen: dict[int, _Token] = {}
-    for stmt in statements:
-        def expect(pos: int, kind: str, what: str) -> _Token:
-            if pos >= len(stmt):
-                last = stmt[-1]
-                raise ParseError(f"expected {what}", last.line, last.column + len(last.value))
-            token = stmt[pos]
-            if token.kind != kind:
-                raise ParseError(f"expected {what}, found {token.value!r}", token.line, token.column)
-            return token
-
-        id_tok = expect(0, "nat", "node id")
-        node_id = int(id_tok.value)
-        if node_id in seen:
-            raise ParseError(f"duplicate node id {node_id}", id_tok.line, id_tok.column)
-        seen[node_id] = id_tok
-        priority = int(expect(1, "nat", "priority").value)
-        owner_tok = expect(2, "nat", "owner (0 or 1)")
-        if owner_tok.value not in ("0", "1"):
-            raise ParseError(
-                f"owner must be 0 or 1, found {owner_tok.value!r}", owner_tok.line, owner_tok.column
-            )
-        succs = [int(expect(3, "nat", "successor id").value)]
-        pos = 4
-        while pos < len(stmt) and stmt[pos].kind == "comma":
-            succs.append(int(expect(pos + 1, "nat", "successor id").value))
-            pos += 2
-        label: str | None = None
-        if pos < len(stmt) and stmt[pos].kind == "string":
-            label = stmt[pos].value
-            pos += 1
-        if pos != len(stmt):
-            extra = stmt[pos]
-            raise ParseError(f"unexpected token {extra.value!r}", extra.line, extra.column)
-        records.append(NodeRecord(node_id, int(owner_tok.value), priority, label))
-        edges[node_id] = tuple(succs)
-
-    known = set(seen)
+    seen: dict[int, int] = {}  # node id -> offset of the id, for errors
+    header = _HEADER.match(text)
+    max_id = int(header[1]) if header else None
+    pos = header.end() if header else 0
+    match = _NODE.match
+    while (m := match(text, pos)) is not None:
+        node_id, priority, owner, succs, label = m.groups()
+        node_id = int(node_id)
+        if node_id in seen or max_id is not None and node_id > max_id:
+            break
+        seen[node_id] = m.start(1)
+        records.append(NodeRecord(node_id, int(owner), int(priority), label))
+        edges[node_id] = tuple(map(int, succs.split(",")))
+        pos = m.end()
+    if not _BLANK.fullmatch(text, pos):
+        _reject(text, pos, seen, max_id, first=header is None and not records)
+    if not records:
+        raise ParseError("no node statements" if text.strip(" \t\r\n") else "empty input", 1, 1)
     for node_id, succs in edges.items():
         for w in succs:
-            if w not in known:
-                tok = seen[node_id]
-                raise ParseError(
-                    f"node {node_id} lists successor {w} which is not a node",
-                    tok.line,
-                    tok.column,
+            if w not in seen:
+                raise _error(
+                    text, f"node {node_id} lists successor {w} which is not a node", seen[node_id]
                 )
-    game = ParityGame(records, edges)
-    game = ParityGame(records, edges, sink=infer_sink(game))
-    violations = validate_game(game)
-    if violations:
-        raise ParseError("; ".join(str(v) for v in violations), 1, 1)
-    return game
+    return ParityGame(records, edges, sink=sink_of(records, edges))
 
 
 def write_pgsolver(game: ParityGame) -> str:
     """Canonical text form: ascending node ids, adjacency order preserved,
-    labels quoted. Priorities must be nonnegative for the format."""
+    labels quoted. Priorities must be nonnegative, and labels must hold
+    neither ``"`` nor a line break, or the text would not parse back."""
     lines = [f"parity {max(game.node_ids)};"]
     for v in game.node_ids:
         rec = game.node(v)
@@ -195,7 +179,11 @@ def write_pgsolver(game: ParityGame) -> str:
             raise ValueError(
                 f"node {v} has negative priority {rec.priority}; shift priorities first"
             )
+        label = ""
+        if rec.label is not None:
+            if '"' in rec.label or "\n" in rec.label:
+                raise ValueError(f"node {v} has label {rec.label!r}; labels cannot hold '\"' or a line break")
+            label = f' "{rec.label}"'
         succs = ",".join(str(w) for w in game.successors(v))
-        label = f' "{rec.label}"' if rec.label is not None else ""
         lines.append(f"{v} {rec.priority} {rec.owner} {succs}{label};")
     return "\n".join(lines) + "\n"

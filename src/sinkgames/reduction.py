@@ -48,17 +48,83 @@ class WinnerResult:
     strategy1: dict[int, int]
 
 
-def _shift_nonnegative(
-    nodes: list[NodeRecord],
-) -> list[NodeRecord]:
-    """Shift all priorities up by an even amount so the minimum is >= 0."""
-    low = min(rec.priority for rec in nodes)
-    if low >= 0:
-        return nodes
-    shift = -low if low % 2 == 0 else -low + 1
-    return [
-        NodeRecord(rec.id, rec.owner, rec.priority + shift, rec.label) for rec in nodes
+# A game as parallel columns in ascending id order: ids, owners, priorities,
+# labels and successor tuples. Priorities stay as given; the cores report
+# the even shifts, and _build applies their sum once.
+Columns = tuple[list[int], list[int], list[int], list[str | None], list[tuple[int, ...]]]
+
+
+def _columns(game: ParityGame) -> Columns:
+    nodes = game.nodes
+    return (
+        [rec.id for rec in nodes],
+        [rec.owner for rec in nodes],
+        [rec.priority for rec in nodes],
+        [rec.label for rec in nodes],
+        [game.successors(rec.id) for rec in nodes],
+    )
+
+
+def _build(cols: Columns, shift: int, sink: int | None = None) -> ParityGame:
+    ids, owners, priorities, labels, rows = cols
+    nodes = [
+        NodeRecord(v, owner, priority + shift, label)
+        for v, owner, priority, label in zip(ids, owners, priorities, labels)
     ]
+    return ParityGame(nodes, dict(zip(ids, rows)), sink=sink)
+
+
+def _even_shift(low: int) -> int:
+    """The least even amount that lifts priority ``low`` to at least 0."""
+    return -low + low % 2 if low < 0 else 0
+
+
+def _subdivide(cols: Columns) -> dict[int, tuple[int, int]]:
+    """Core of :func:`break_same_owner_cycles`: rewire every same-owner edge
+    u -> w through a new node x of the other owner whose priority lies one
+    below every other, appending the new nodes to ``cols``. Returns the
+    breakers, x -> (u, w), in id order."""
+    ids, owners, priorities, labels, rows = cols
+    owner_of = dict(zip(ids, owners))
+    low = min(priorities) - 1
+    next_id = ids[-1] + 1
+    breakers: dict[int, tuple[int, int]] = {}
+    for i, (u, owner) in enumerate(zip(ids, owners)):
+        rewired = []
+        for w in rows[i]:
+            if owner_of.get(w) == owner:
+                breakers[next_id] = (u, w)
+                rewired.append(next_id)
+                next_id += 1
+            else:
+                rewired.append(w)
+        rows[i] = tuple(rewired)
+    ids += breakers
+    owners += [1 - owner_of[u] for u, _ in breakers.values()]
+    priorities += [low] * len(breakers)
+    labels += [None] * len(breakers)
+    rows += [(w,) for _, w in breakers.values()]
+    return breakers
+
+
+def _attach_sink(cols: Columns) -> tuple[int, int, int]:
+    """Core of :func:`to_sink_game`: append the sink ``top`` one priority
+    below every node and ``w`` at the least even priority above every node,
+    and give each player 0 node an escape to ``top`` and each player 1 node
+    an escape to ``w``. Returns ``top``, ``w`` and the priority of ``w``."""
+    ids, owners, priorities, labels, rows = cols
+    top = ids[-1] + 1
+    w = top + 1
+    low, high = min(priorities), max(priorities)
+    pw = high + 1 if (high + 1) % 2 == 0 else high + 2
+    escape = (top, w)  # indexed by owner: PLAYER0, PLAYER1
+    rows[:] = [row + (escape[owner],) for owner, row in zip(owners, rows)]
+    ids += (top, w)
+    owners += (PLAYER0, PLAYER1)
+    priorities += (low - 1, pw)
+    labels += ("top", "w")
+    rows += ((top,), (top,))
+    return top, w, pw
 
 
 def break_same_owner_cycles(game: ParityGame) -> tuple[ParityGame, dict[int, tuple[int, int]]]:
@@ -67,36 +133,14 @@ def break_same_owner_cycles(game: ParityGame) -> tuple[ParityGame, dict[int, tup
 
     The result has no cycle within either player's node set and the winner
     of every original node is unchanged: the inserted nodes have a single
-    outgoing edge and are never the top priority of a cycle.
+    outgoing edge and are never the top priority of a cycle. Priorities are
+    shifted up by an even amount to stay nonnegative.
     """
-    same_owner = [
-        (u, w)
-        for u in game.node_ids
-        for w in game.successors(u)
-        if w in game and game.owner(u) == game.owner(w)
-    ]
-    if not same_owner:
+    cols = _columns(game)
+    breakers = _subdivide(cols)
+    if not breakers:
         return game, {}
-    low_priority = min(game.priority(v) for v in game.node_ids) - 1
-    next_id = max(game.node_ids) + 1
-    breakers: dict[int, tuple[int, int]] = {}
-    nodes = list(game.nodes)
-    edges: dict[int, list[int]] = {v: list(game.successors(v)) for v in game.node_ids}
-    for u in game.node_ids:
-        rewired = []
-        for w in edges[u]:
-            if w in game and game.owner(u) == game.owner(w):
-                x = next_id
-                next_id += 1
-                breakers[x] = (u, w)
-                nodes.append(NodeRecord(x, 1 - game.owner(u), low_priority, None))
-                edges[x] = [w]
-                rewired.append(x)
-            else:
-                rewired.append(w)
-        edges[u] = rewired
-    nodes = _shift_nonnegative(nodes)
-    return ParityGame(nodes, {v: tuple(ws) for v, ws in edges.items()}), breakers
+    return _build(cols, _even_shift(min(cols[2]))), breakers
 
 
 def _same_owner_cycle(game: ParityGame) -> list[int] | None:
@@ -145,40 +189,37 @@ def to_sink_game(
     cycle = _same_owner_cycle(game)
     if cycle is not None:
         raise ValueError(f"game has a same-owner cycle through nodes {cycle}")
-    breakers = dict(breakers or {})
+    cols = _columns(game)
+    top, w, pw = _attach_sink(cols)
+    shift = _even_shift(min(cols[2]))
     base = original if original is not None else game
-    top_id = max(game.node_ids) + 1
-    w_id = top_id + 1
-    low = min(game.priority(v) for v in game.node_ids)
-    high = max(game.priority(v) for v in game.node_ids)
-    pw = high + 1 if (high + 1) % 2 == 0 else high + 2
-    nodes = list(game.nodes)
-    nodes.append(NodeRecord(top_id, PLAYER0, low - 1, "top"))
-    nodes.append(NodeRecord(w_id, PLAYER1, pw, "w"))
-    edges: dict[int, tuple[int, ...]] = {}
-    for v in game.node_ids:
-        extra = top_id if game.owner(v) == PLAYER0 else w_id
-        edges[v] = game.successors(v) + (extra,)
-    edges[top_id] = (top_id,)
-    edges[w_id] = (top_id,)
-    shifted = _shift_nonnegative(nodes)
-    delta = shifted[0].priority - nodes[0].priority
-    reduced = ParityGame(shifted, edges, sink=top_id)
     rmap = ReductionMap(
-        original=base,
-        original_ids=frozenset(base.node_ids),
-        breakers=breakers,
-        w=w_id,
-        sink=top_id,
-        pw=pw + delta,
+        base, frozenset(base.node_ids), dict(breakers or {}), w=w, sink=top, pw=pw + shift
     )
-    return reduced, rmap
+    return _build(cols, shift, sink=top), rmap
 
 
 def reduce_game(game: ParityGame) -> tuple[ParityGame, ReductionMap]:
-    """Full pipeline: break same-owner cycles, then build the sink game."""
-    broken, breakers = break_same_owner_cycles(game)
-    return to_sink_game(broken, breakers, original=game)
+    """Full pipeline: break same-owner cycles, then build the sink game.
+
+    Equal to ``to_sink_game(*break_same_owner_cycles(game), original=game)``
+    without building the intermediate game. In place of the same-owner
+    cycle search it checks that no edge of the broken game joins two nodes
+    of one owner, which subdivision guarantees.
+    """
+    cols = _columns(game)
+    breakers = _subdivide(cols)
+    ids, owners, priorities, _, rows = cols
+    shift = _even_shift(min(priorities)) if breakers else 0
+    owner_of = dict(zip(ids, owners))
+    for v, owner, row in zip(ids, owners, rows):
+        for t in row:
+            if owner_of.get(t) == owner:
+                raise ValueError(f"edge ({v}, {t}) joins two nodes of player {owner}")
+    top, w, pw = _attach_sink(cols)
+    shift += _even_shift(min(priorities) + shift)
+    rmap = ReductionMap(game, frozenset(game.node_ids), breakers, w=w, sink=top, pw=pw + shift)
+    return _build(cols, shift, sink=top), rmap
 
 
 def trivial_strategies(reduced: ParityGame, rmap: ReductionMap) -> tuple[Strategy, Strategy]:

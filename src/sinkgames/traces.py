@@ -56,14 +56,19 @@ def build_trace_file(
     algorithm: str,
     rule: str,
     seed: int | None = None,
+    certificate: str | None = None,
 ) -> TraceFile:
+    """The trace of a finished run. ``certificate`` is the run's
+    :func:`certificate_status` when the caller already has it."""
+    if certificate is None:
+        certificate = certificate_status(game, result)
     header = TraceHeader(game_id, algorithm, rule, seed, game.num_nodes, game.num_edges)
     rows = tuple(
         (record.index, owner, source, target)
         for record in result.trace.iterations
         for owner, source, target in record.switches
     )
-    return TraceFile(header, rows, result.iterations, certificate_status(game, result))
+    return TraceFile(header, rows, result.iterations, certificate)
 
 
 def to_csv(trace: TraceFile) -> str:

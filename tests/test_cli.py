@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from conftest import random_parity_game
+from sinkgames import traces
 from sinkgames.cli import main
 from sinkgames.families import gen_table1
 from sinkgames.oracle import brute_force_winners
@@ -87,6 +90,25 @@ class TestSolve:
         assert csv_trace.rows == json_trace.rows
         assert csv_trace.iterations == json_trace.iterations == 13
 
+    def test_traced_run_is_certified_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        verify = traces.verify_optimal
+
+        def counted(*args):
+            calls.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(traces, "verify_optimal", counted)
+        trace_file = tmp_path / "run.csv"
+        code, out, _ = run_cli(
+            capsys, "solve", "--algo", "ssi", "--family", "table1", "--n", "3",
+            "--trace", str(trace_file),
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert "certificate: verified" in out
+        assert from_csv(trace_file.read_text()).certificate == "verified"
+
     def test_final_strategy_files(self, tmp_path, capsys):
         out_file = tmp_path / "sigma.txt"
         code, _, _ = run_cli(
@@ -158,6 +180,25 @@ class TestReduce:
         code, out, _ = run_cli(capsys, "solve", "--algo", "ssi", "--game", str(out_file))
         assert code == 0
         assert "certificate: verified" in out
+
+
+@pytest.mark.parametrize("command", ["reduce", "winners"])
+@pytest.mark.parametrize("text", ["0 \u00b2 0 0;", "\u0663 2 0 0;"])
+def test_non_ascii_digit_is_an_input_error(tmp_path, capsys, command, text):
+    game_file = tmp_path / "in.pg"
+    game_file.write_text(text, encoding="utf-8")
+    extra = ["--out", str(tmp_path / "out.pg")] if command == "reduce" else []
+    code, _, err = run_cli(capsys, command, "--game", str(game_file), *extra)
+    assert code == 2
+    assert "unexpected character" in err
+
+
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    game_file = tmp_path / "in.pg"
+    game_file.write_bytes(b"0 1 0 0;\xff\n")
+    code, _, err = run_cli(capsys, "winners", "--game", str(game_file))
+    assert code == 2
+    assert "cannot read" in err
 
 
 class TestWinners:

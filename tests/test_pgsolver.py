@@ -1,12 +1,15 @@
 """PGSolver format parsing and writing."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pgsolver_reference as reference
 from conftest import random_parity_game
 from sinkgames.families import gen_table1, gen_table2
-from sinkgames.game import validate_game
+from sinkgames.game import NodeRecord, ParityGame, validate_game
 from sinkgames.pgsolver import ParseError, parse_pgsolver, write_pgsolver
 from sinkgames.reduction import reduce_game
 
@@ -69,6 +72,36 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_pgsolver("0 -2 0 0;")
 
+    def test_labels_may_hold_semicolons(self):
+        game = parse_pgsolver('0 2 0 1 "a;b"; 1 3 1 0;')
+        assert game.label(0) == "a;b"
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("0 \u00b2 0 0;", 3),  # superscript two: str.isdigit, but int() fails
+            ("\u0663 2 0 0;", 1),  # Arabic-Indic three: int() reads it as 3
+            ("0 2 0 0,1\u0663;", 10),
+        ],
+    )
+    def test_only_ascii_digits_count(self, text, column):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_pgsolver(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
+
+class TestHeaderBound:
+    def test_id_above_the_header_maximum(self):
+        with pytest.raises(ParseError, match="node id 2 exceeds the header's maximum 1") as err:
+            parse_pgsolver("parity 1;\n0 2 0 1;\n1 3 1 0;\n  2 4 0 0;")
+        assert (err.value.line, err.value.column) == (4, 3)
+
+    def test_ids_up_to_the_maximum_are_fine(self):
+        assert parse_pgsolver("parity 5; 5 2 0 5;").node_ids == (5,)
+
+    def test_without_a_header_ids_are_unbounded(self):
+        assert parse_pgsolver("12345 2 0 12345;").node_ids == (12345,)
+
 
 class TestWrite:
     def test_canonical_shape(self):
@@ -86,6 +119,18 @@ class TestWrite:
         game = ParityGame([NodeRecord(0, 0, -1, None)], {0: (0,)})
         with pytest.raises(ValueError, match="negative priority"):
             write_pgsolver(game)
+
+    @pytest.mark.parametrize("label", ['a"b', "a\nb"])
+    def test_unreadable_labels_rejected(self, label):
+        game = ParityGame([NodeRecord(0, 0, 1, label)], {0: (0,)})
+        with pytest.raises(ValueError, match="label"):
+            write_pgsolver(game)
+
+    def test_awkward_labels_round_trip(self):
+        labels = ["", "a;b", "tab\there", "r\r", "\u00e9\u00b2 ,"]
+        nodes = [NodeRecord(v, v % 2, v + 1, label) for v, label in enumerate(labels)]
+        game = ParityGame(nodes, {v: ((v + 1) % len(labels),) for v in range(len(labels))})
+        assert parse_pgsolver(write_pgsolver(game)) == game
 
 
 class TestRoundTrip:
@@ -115,3 +160,109 @@ class TestRoundTrip:
         text = write_pgsolver(game)
         assert parse_pgsolver(text) == game
         assert write_pgsolver(parse_pgsolver(text)) == text
+
+
+SPACE = st.sampled_from([" ", "  ", "\n", "\t", " \r\n"])
+GAP = st.one_of(st.just(""), SPACE)
+
+
+def _number(draw, value: int) -> str:
+    return "0" * draw(st.integers(0, 1)) * (value > 0) + str(value)
+
+
+@st.composite
+def valid_texts(draw) -> str:
+    """PGSolver texts the original parser accepts, in varied layouts:
+    optional header, gaps in the ids, leading zeros, empty statements,
+    labels holding ';' and non-ASCII letters."""
+    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=8, unique=True))
+    parts = [draw(st.sampled_from(["", ";", " ;\n"]))]
+    if draw(st.booleans()):
+        top = max(ids) + draw(st.integers(0, 3))
+        parts.append(f"parity{draw(SPACE)}{top}{draw(GAP)};{draw(GAP)}")
+    label_text = st.text(st.characters(blacklist_characters='"\n', max_codepoint=0x3FF), max_size=4)
+    for v in ids:
+        succs = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
+        fields = [
+            _number(draw, v), draw(SPACE), _number(draw, draw(st.integers(0, 40))), draw(SPACE),
+            str(draw(st.integers(0, 1))), draw(SPACE),
+            f"{draw(GAP)},{draw(GAP)}".join(_number(draw, w) for w in succs),
+        ]
+        if draw(st.booleans()):
+            fields += [draw(GAP), '"', draw(label_text), '"']
+        fields += [draw(GAP), ";", draw(st.sampled_from(["", " ", "\n", ";", "\n;\n"]))]
+        parts.append("".join(fields))
+    return "".join(parts)
+
+
+# Mutation alphabet: token characters, separators, a non-ASCII digit, and
+# characters that are letters, numbers or spaces only outside ASCII.
+MUTATION_CHARS = '0123456789 \t\n\r;,"ab_-?.\u00b2\u00e9\u00bd\u00a0\f'
+
+
+@st.composite
+def mutated_texts(draw) -> str:
+    text = draw(valid_texts())
+    at = draw(st.integers(0, len(text)))
+    kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+    char = draw(st.sampled_from(MUTATION_CHARS))
+    if kind == "insert":
+        return text[:at] + char + text[at:]
+    if kind == "delete":
+        return text[:at] + text[at + 1:]
+    return text[:at] + char + text[at + 1:]
+
+
+def _outcome(parse, text):
+    try:
+        return ("game", parse(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+HEADER_BOUND = re.compile(r"node id (\d+) exceeds the header's maximum (\d+) ")
+
+
+def _deliberate(text: str, error: tuple) -> bool:
+    """Is this one of the two intended departures from the reference: an
+    id above the header's maximum, or a non-ASCII digit refused as an
+    unexpected character?"""
+    _, message, line, column = error
+    bound = HEADER_BOUND.match(message)
+    if bound:
+        return int(bound[1]) > int(bound[2])
+    char = text.split("\n")[line - 1][column - 1]
+    return message.startswith("unexpected character") and char.isdigit() and not char.isascii()
+
+
+class TestAgainstReference:
+    """The one-pass parser against a frozen copy of the original
+    character-scanning one (tests/pgsolver_reference.py)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_texts())
+    def test_same_game_on_valid_texts(self, text):
+        assert parse_pgsolver(text) == reference.parse_pgsolver(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_texts())
+    def test_same_error_after_one_mutation(self, text):
+        new = _outcome(parse_pgsolver, text)
+        try:
+            old = _outcome(reference.parse_pgsolver, text)
+        except ValueError as exc:  # the reference's int() on a non-ASCII digit
+            old = ("crash", str(exc))
+        if new != old:
+            assert new[0] == "error" and _deliberate(text, new), (new, old)
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(), st.text(st.sampled_from(MUTATION_CHARS + "parity\u0663\u00b2"))))
+    def test_any_text_gives_a_valid_game_or_a_parse_error(self, text):
+        try:
+            game = parse_pgsolver(text)
+        except ParseError:
+            return
+        assert validate_game(game) == []
+        assert parse_pgsolver(write_pgsolver(game)) == game

@@ -1,5 +1,6 @@
 """Cycle breaking, sink-game construction, winner extraction."""
 
+import hashlib
 import random
 
 import pytest
@@ -13,7 +14,9 @@ from sinkgames.game import (
     Strategy,
     validate_game,
 )
+from sinkgames import reduction
 from sinkgames.oracle import brute_force_winners, walk_winner, all_strategies
+from sinkgames.pgsolver import parse_pgsolver, write_pgsolver
 from sinkgames.reduction import (
     break_same_owner_cycles,
     extract_winners,
@@ -97,6 +100,46 @@ class TestToSinkGame:
             sigma, tau = trivial_strategies(reduced, rmap)
             assert is_admissible(reduced, sigma)
             assert is_admissible(reduced, tau)
+
+
+def _decorated_game(rng: random.Random) -> ParityGame:
+    """A random parity game with gaps in its ids, priorities that may be
+    negative, and some labels."""
+    game = random_parity_game(rng)
+    ids = {v: 3 * v + rng.randint(0, 2) for v in game.node_ids}
+    shift = rng.randint(-6, 2)
+    nodes = [
+        NodeRecord(ids[rec.id], rec.owner, rec.priority + shift, rng.choice([None, "", f"n{rec.id}"]))
+        for rec in game.nodes
+    ]
+    edges = {ids[v]: tuple(ids[w] for w in game.successors(v)) for v in game.node_ids}
+    return ParityGame(nodes, edges)
+
+
+class TestReduceGame:
+    def test_equals_the_two_public_steps(self):
+        rng = random.Random(107)
+        for _ in range(300):
+            game = _decorated_game(rng)
+            expected = to_sink_game(*break_same_owner_cycles(game), original=game)
+            assert reduce_game(game) == expected
+
+    def test_refuses_a_same_owner_edge_left_by_subdivision(self, monkeypatch):
+        monkeypatch.setattr(reduction, "_subdivide", lambda cols: {})
+        game = ParityGame(
+            [NodeRecord(0, 1, 3, None), NodeRecord(1, 1, 5, None)],
+            {0: (1,), 1: (1,)},
+        )
+        with pytest.raises(ValueError, match="joins two nodes of player 1"):
+            reduce_game(game)
+
+    def test_golden_output(self):
+        """The ``reduce`` output of a seeded 2,000-node game, byte for byte
+        as the original two-step implementation wrote it."""
+        game = random_parity_game(random.Random(2000), min_nodes=2000, max_nodes=2000)
+        reduced, _ = reduce_game(parse_pgsolver(write_pgsolver(game)))
+        digest = hashlib.sha256(write_pgsolver(reduced).encode()).hexdigest()
+        assert digest == "7c6c9a6ab630163b6817f18226882b424e3c4e81f0b0155f719536e55b0bbb36"
 
 
 class TestExtractWinners:
