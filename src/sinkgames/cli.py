@@ -15,7 +15,7 @@ from . import families, pgsolver, reduction, traces
 from .game import PLAYER0, PLAYER1, ParityGame, Strategy, validate_game
 from .rules import make_rule
 from .solvers import SolverInvariantError, run_gssi, run_si, run_ssi
-from .valuation import NotAdmissibleError, game_index, is_admissible, valuate
+from .valuation import NotAdmissibleError, game_index, is_admissible, strategy_codes
 
 
 class InputError(Exception):
@@ -130,7 +130,7 @@ def _default_strategy(game: ParityGame, player: int) -> Strategy:
 
 def _check_admissible(game: ParityGame, strategy: Strategy, name: str) -> None:
     try:
-        valuate(game, strategy)
+        strategy_codes(game, strategy)
     except NotAdmissibleError as exc:
         raise InputError(f"{name} is not admissible: {exc}") from exc
     except ValueError as exc:
@@ -151,7 +151,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_solve_inputs(args: argparse.Namespace):
+def _resolve_solve_inputs(args: argparse.Namespace, needed: tuple[int, ...]):
+    """The game, its name, and the start strategies: given by file, else the
+    family's, else a default for each player in ``needed``."""
     if bool(args.game) == bool(args.family):
         raise InputError("choose exactly one of --game or --family")
     if args.family:
@@ -167,8 +169,7 @@ def _resolve_solve_inputs(args: argparse.Namespace):
         violations = validate_game(game, require_sink=True)
         if violations:
             raise InputError("; ".join(str(v) for v in violations))
-        sigma0 = _default_strategy(game, PLAYER0)
-        tau0 = _default_strategy(game, PLAYER1)
+        sigma0 = tau0 = None
     if args.sigma0:
         sigma0 = traces.parse_strategy_text(_read_text(args.sigma0), game)
         if sigma0.player != PLAYER0:
@@ -177,11 +178,19 @@ def _resolve_solve_inputs(args: argparse.Namespace):
         tau0 = traces.parse_strategy_text(_read_text(args.tau0), game)
         if tau0.player != PLAYER1:
             raise InputError("--tau0 file describes a player 0 strategy")
+    if sigma0 is None and PLAYER0 in needed:
+        sigma0 = _default_strategy(game, PLAYER0)
+    if tau0 is None and PLAYER1 in needed:
+        tau0 = _default_strategy(game, PLAYER1)
     return game, game_id, sigma0, tau0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    game, game_id, sigma0, tau0 = _resolve_solve_inputs(args)
+    if args.trace and not args.trace.endswith((".csv", ".json")):
+        raise InputError("--trace file must end in .csv or .json")
+    player = PLAYER1 if args.algo == "si" and args.player == 1 else PLAYER0
+    needed = (player,) if args.algo == "si" else (PLAYER0, PLAYER1)
+    game, game_id, sigma0, tau0 = _resolve_solve_inputs(args, needed)
     if args.player is not None and args.algo != "si":
         raise InputError("--player only applies to --algo si")
     try:
@@ -190,7 +199,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise InputError(str(exc)) from exc
 
     if args.algo == "si":
-        player = PLAYER0 if args.player in (None, 0) else PLAYER1
         start = sigma0 if player == PLAYER0 else tau0
         _check_admissible(game, start, "the initial strategy")
         result = run_si(game, start, rule)
@@ -225,10 +233,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
         if args.trace.endswith(".csv"):
             _write_text(args.trace, traces.to_csv(trace))
-        elif args.trace.endswith(".json"):
-            _write_text(args.trace, traces.to_json(trace))
         else:
-            raise InputError("--trace file must end in .csv or .json")
+            _write_text(args.trace, traces.to_json(trace))
     if status != "verified":
         raise SolverInvariantError("run terminated at a non-optimal strategy")
     return 0

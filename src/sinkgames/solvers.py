@@ -10,7 +10,9 @@ choice, and repeat until no candidate remains:
   under the opponent's valuation instead of the counterstrategy edges.
 
 The loops rewire both strategies simultaneously from one chosen set per
-iteration. An "iteration" is a pass that applies at least one switch; the
+iteration. A player's first valuation starts cold; each later one resumes
+from the previous and recomputes only the backward cone of the nodes
+switched since. An "iteration" is a pass that applies at least one switch; the
 final pass that only detects termination is recorded in the trace but not
 counted.
 """
@@ -131,6 +133,10 @@ def _run_loop(
     vals1: list[int] | None = None
     sigma_dirty = sigma is not None
     tau_dirty = tau is not None
+    # nodes switched since each player's last valuation, whose backward
+    # cone is all that the next valuation recomputes
+    sigma_switched: list[int] = []
+    tau_switched: list[int] = []
     i_sigma: list[tuple[int, int]] = []
     i_tau: list[tuple[int, int]] = []
     sigma_bar: dict[int, int] = {}
@@ -148,13 +154,15 @@ def _run_loop(
 
         if sigma_dirty:
             assert sigma is not None and sf0 is not None and sr0 is not None
-            vals0 = solve_values(gi, sf0, sr0, minimize=True)
+            vals0 = solve_values(gi, sf0, sr0, True, vals0, sigma_switched)
+            sigma_switched = []
             i_sigma = improving_edges(gi, sigma, vals0, PLAYER0)
             sigma_bar = {}
             sigma_dirty = False
         if tau_dirty:
             assert tau is not None and sf1 is not None and sr1 is not None
-            vals1 = solve_values(gi, sf1, sr1, minimize=False)
+            vals1 = solve_values(gi, sf1, sr1, False, vals1, tau_switched)
+            tau_switched = []
             i_tau = improving_edges(gi, tau, vals1, PLAYER1)
             tau_bar = {}
             tau_dirty = False
@@ -163,20 +171,14 @@ def _run_loop(
         if mode == SI:
             candidates = list(i_sigma if sigma is not None else i_tau)
         elif mode == SSI:
-            for v, w in i_sigma:
-                best = tau_bar.get(v)
-                if best is None:
-                    best = counter_choices(gi, vals1, minimize=False, nodes=(v,))[v]
-                    tau_bar[v] = best
-                if w == best:
-                    candidates.append((v, w))
-            for v, w in i_tau:
-                best = sigma_bar.get(v)
-                if best is None:
-                    best = counter_choices(gi, vals0, minimize=True, nodes=(v,))[v]
-                    sigma_bar[v] = best
-                if w == best:
-                    candidates.append((v, w))
+            missing = tuple(dict.fromkeys(v for v, _ in i_sigma if v not in tau_bar))
+            if missing:
+                tau_bar.update(counter_choices(gi, vals1, False, missing))
+            missing = tuple(dict.fromkeys(v for v, _ in i_tau if v not in sigma_bar))
+            if missing:
+                sigma_bar.update(counter_choices(gi, vals0, True, missing))
+            candidates = [(v, w) for v, w in i_sigma if tau_bar[v] == w]
+            candidates += [(v, w) for v, w in i_tau if sigma_bar[v] == w]
         else:  # GSSI
             candidates = weak_edges(i_sigma, sigma, vals1, PLAYER0)
             candidates += weak_edges(i_tau, tau, vals0, PLAYER1)
@@ -209,12 +211,14 @@ def _run_loop(
                 sigma[v] = w
                 sf0[v] = w
                 sigma_dirty = True
+                sigma_switched.append(v)
                 switches.append((PLAYER0, v_id, w_id))
             else:
                 assert tau is not None and sf1 is not None
                 tau[v] = w
                 sf1[v] = w
                 tau_dirty = True
+                tau_switched.append(v)
                 switches.append((PLAYER1, v_id, w_id))
         records.append(
             IterationRecord(passes, tuple(switches), len(i_sigma), len(i_tau), len(candidates))

@@ -12,6 +12,13 @@ integer arithmetic. Values stay encoded inside the library: the candidate
 sets I and J are computed on the code arrays, and a :class:`Valuation`
 decodes its play values only when they are read. Any relaxation schedule
 reaches the same fixpoint, which is what makes runs reproducible.
+
+The improvement loops revalue a strategy incrementally: after a switch only
+the backward cone of the switched nodes (the nodes with a path to one of
+them in the new strategy subgraph) can change value. :func:`solve_values`
+resets that cone to the sentinel and relaxes it alone, while every other
+node keeps its exact previous code, since none of its paths crosses a
+switch. A cold start is the same computation with every node in the cone.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ class GameIndex:
         "owner0",
         "adj",
         "adj_unique",
+        "pred",
         "weight",
         "codec",
         "sink",
@@ -67,9 +75,18 @@ class GameIndex:
         self.owner0 = [game.owner(v) == PLAYER0 for v in ids]
         self.adj = [tuple(self.index[w] for w in game.successors(v)) for v in ids]
         self.adj_unique = [tuple(dict.fromkeys(succs)) for succs in self.adj]
-        # intermediate relaxation values never accumulate more than one
-        # priority per node update, over at most |V| sweeps
-        self.codec = ValueCodec(game.priorities(), max_count=(n + 2) * (n + 2))
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for v in range(n):
+            for w in self.adj_unique[v]:
+                pred[w].append(v)
+        self.pred = [tuple(vs) for vs in pred]
+        # A final value is a sum over a simple path, so every count is at
+        # most n < base/2 = n + 4: integer order is play-value order, and a
+        # cycle's sign is its top priority's. A value on the sentinel side
+        # has taken at most n * budget <= n^2 weights of at most
+        # base^(P-1) each (P priorities), and 4*base^2 - n^2 > 2*base keeps
+        # it beyond finite_bound.
+        self.codec = ValueCodec(game.priorities(), max_count=n + 2)
         self.weight = [self.codec.weight(game.priority(v)) for v in ids]
         self.sink = self.index[game.sink]
         self.nodes0 = tuple(i for i in range(n) if self.owner0[i])
@@ -85,17 +102,13 @@ class GameIndex:
         graphs), and each node's edge distance to the sink, ``len(ids)``
         where the sink is unreachable."""
         n = len(self.ids)
-        reverse: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            for w in self.adj[v]:
-                reverse[w].append(v)
         dist = [n] * n
         dist[self.sink] = 0
         queue = deque([self.sink])
         order: list[int] = []
         while queue:
             w = queue.popleft()
-            for v in reverse[w]:
+            for v in self.pred[w]:
                 if dist[v] == n:
                     dist[v] = dist[w] + 1
                     order.append(v)
@@ -126,12 +139,6 @@ class GameIndex:
         for v, w in strategy.choice.items():
             arr[self.index[v]] = self.index[w]
         return arr
-
-    def cold_values(self, minimize: bool) -> list[int]:
-        init = self.pos_init if minimize else self.neg_init
-        values = [init] * len(self.ids)
-        values[self.sink] = 0
-        return values
 
 
 @dataclass(frozen=True)
@@ -177,18 +184,19 @@ def game_index(game: ParityGame) -> GameIndex:
 
 def sweep_to_fixpoint(
     gi: GameIndex,
+    order: Sequence[int],
     succ_first: list[int],
     succ_rest: list[tuple[int, ...]],
     values: list[int],
     minimize: bool,
     max_sweeps: int,
 ) -> bool:
-    """Relax ``values`` in place until a full sweep changes nothing.
+    """Relax the nodes of ``order``, in that order, in place until a full
+    sweep changes nothing.
 
     Returns False when ``max_sweeps`` full sweeps did not stabilize, which
-    for a cold start means the strategy is not admissible.
+    for a start from the sentinel means the strategy is not admissible.
     """
-    order = gi.order
     weight = gi.weight
     if minimize:
         for _ in range(max_sweeps):
@@ -223,29 +231,69 @@ def sweep_to_fixpoint(
     return False
 
 
+def backward_cone(
+    gi: GameIndex,
+    succ_first: list[int],
+    succ_rest: list[tuple[int, ...]],
+    switched: Sequence[int],
+) -> list[int]:
+    """The nodes with a path to a node of ``switched`` in the strategy
+    subgraph, the switched nodes included, in evaluation order."""
+    pred = gi.pred
+    in_cone = [False] * len(gi.ids)
+    stack = []
+    for v in switched:
+        if not in_cone[v]:
+            in_cone[v] = True
+            stack.append(v)
+    while stack:
+        w = stack.pop()
+        for v in pred[w]:
+            if not in_cone[v] and (succ_first[v] == w or w in succ_rest[v]):
+                in_cone[v] = True
+                stack.append(v)
+    return [v for v in gi.order if in_cone[v]]
+
+
 def solve_values(
     gi: GameIndex,
     succ_first: list[int],
     succ_rest: list[tuple[int, ...]],
     minimize: bool,
+    prev: list[int] | None = None,
+    switched: Sequence[int] = (),
 ) -> list[int]:
     """Encoded valuation of a strategy subgraph; raises NotAdmissibleError.
 
-    Starts from the appropriate sentinel everywhere: approaching the
+    Without ``prev`` every node starts from the sentinel: approaching the
     fixpoint from that side stabilizes within |V| sweeps exactly when the
     strategy is admissible, so the sweep budget doubles as the
-    admissibility decision.
+    admissibility decision. ``prev`` resumes from the fixpoint of the same
+    player's admissible strategy before the nodes ``switched`` changed
+    their choice: only their backward cone restarts from the sentinel.
+    The cone is never warm-started from its old codes: from there values
+    can creep around a cycle one lap per sweep, and the sweep budget would
+    no longer decide admissibility.
     """
     budget = max(len(gi.ids), 2)
-    values = gi.cold_values(minimize)
-    if not sweep_to_fixpoint(gi, succ_first, succ_rest, values, minimize, budget):
+    # gi.order holds every node but the sink, whose value stays 0
+    if prev is None:
+        values, order = [0] * len(gi.ids), gi.order
+    else:
+        values, order = list(prev), backward_cone(gi, succ_first, succ_rest, switched)
+    init = gi.pos_init if minimize else gi.neg_init
+    for v in order:
+        values[v] = init
+    if not sweep_to_fixpoint(gi, order, succ_first, succ_rest, values, minimize, budget):
         raise NotAdmissibleError("valuation fixpoint did not stabilize")
+    # only the relaxed nodes can be out of range; the smallest index is the
+    # one an ascending scan of every node would name
     bound = gi.finite_bound
-    for v, code in enumerate(values):
-        if not -bound < code < bound:
-            raise NotAdmissibleError(
-                f"node {gi.ids[v]} cannot reach the sink under this strategy"
-            )
+    out = [v for v in order if not -bound < values[v] < bound]
+    if out:
+        raise NotAdmissibleError(
+            f"node {gi.ids[min(out)]} cannot reach the sink under this strategy"
+        )
     return values
 
 
@@ -282,6 +330,15 @@ def valuation_from_codes(gi: GameIndex, values: list[int], player: int) -> Valua
     return Valuation(player, tuple(values), counter, gi)
 
 
+def strategy_codes(game: ParityGame, strategy: Strategy) -> tuple[GameIndex, list[int]]:
+    """The game's index and the encoded valuation of ``strategy``, from a
+    cold start; raises NotAdmissibleError."""
+    check_strategy(game, strategy)
+    gi = game_index(game)
+    succ_first, succ_rest = gi.subgraph_arrays(gi.strategy_array(strategy), strategy.player)
+    return gi, solve_values(gi, succ_first, succ_rest, strategy.player == PLAYER0)
+
+
 def valuate(game: ParityGame, strategy: Strategy) -> Valuation:
     """Value every node of the strategy subgraph against a best-responding
     opponent; the returned counterstrategy attains the optimum everywhere.
@@ -289,12 +346,7 @@ def valuate(game: ParityGame, strategy: Strategy) -> Valuation:
     Raises NotAdmissibleError when the opponent can force a cycle of their
     own parity (or trap the pebble away from the sink).
     """
-    check_strategy(game, strategy)
-    gi = game_index(game)
-    minimize = strategy.player == PLAYER0
-    strat = gi.strategy_array(strategy)
-    succ_first, succ_rest = gi.subgraph_arrays(strat, strategy.player)
-    values = solve_values(gi, succ_first, succ_rest, minimize)
+    gi, values = strategy_codes(game, strategy)
     return valuation_from_codes(gi, values, strategy.player)
 
 
@@ -305,11 +357,8 @@ def is_admissible(game: ParityGame, strategy: Strategy) -> bool:
     Decided by running the valuation fixpoint and reporting whether it
     stabilizes at finite values.
     """
-    check_strategy(game, strategy)
-    gi = game_index(game)
-    succ_first, succ_rest = gi.subgraph_arrays(gi.strategy_array(strategy), strategy.player)
     try:
-        solve_values(gi, succ_first, succ_rest, strategy.player == PLAYER0)
+        strategy_codes(game, strategy)
     except NotAdmissibleError:
         return False
     return True

@@ -166,6 +166,45 @@ class TestSolve:
         assert outputs[0] == outputs[1]
 
 
+    # player 0's sink-seeking default walks 1 -> 2, where player 1 loops
+    # 2 -> 1 -> 2 through the odd top priority 3
+    NO_DEFAULT_SIGMA = "parity 4;\n0 1 0 0;\n1 2 0 2,3;\n2 3 1 0,1;\n3 4 1 4;\n4 6 0 0;\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--algo", "ssi", "--sigma0", "{sigma0}"), ("--algo", "si", "--player", "1")],
+        ids=["given-sigma0", "si-player1"],
+    )
+    def test_default_only_for_a_needed_missing_strategy(self, tmp_path, capsys, flags):
+        game_file = tmp_path / "g.pg"
+        game_file.write_text(self.NO_DEFAULT_SIGMA)
+        sigma_file = tmp_path / "sigma0.txt"
+        sigma_file.write_text("0 0\n1 3\n4 0\n")
+        flags = [f.format(sigma0=sigma_file) for f in flags]
+        code, out, err = run_cli(capsys, "solve", "--game", str(game_file), *flags)
+        assert (code, err) == (0, "")
+        assert "certificate: verified" in out
+
+    def test_default_that_is_needed_still_fails(self, tmp_path, capsys):
+        game_file = tmp_path / "g.pg"
+        game_file.write_text(self.NO_DEFAULT_SIGMA)
+        code, _, err = run_cli(capsys, "solve", "--algo", "si", "--game", str(game_file))
+        assert code == 2
+        assert "provide one with --sigma0" in err
+
+    def test_bad_trace_name_is_rejected_before_solving(self, tmp_path, capsys):
+        sigma_out, tau_out = tmp_path / "sigma.txt", tmp_path / "tau.txt"
+        code, out, err = run_cli(
+            capsys, "solve", "--algo", "ssi", "--family", "table1", "--n", "3",
+            "--trace", str(tmp_path / "run.txt"),
+            "--sigma-out", str(sigma_out), "--tau-out", str(tau_out),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --trace file must end in .csv or .json\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReduce:
     def test_output_parses_and_solves(self, tmp_path, capsys):
         rng = random.Random(127)

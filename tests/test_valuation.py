@@ -8,18 +8,24 @@ import pytest
 from conftest import (
     admissible_pair,
     random_admissible_strategy,
+    random_parity_game,
     random_sink_game,
 )
-from sinkgames.families import gen_table1
+from sinkgames.families import gen_table1, gen_table2
 from sinkgames.game import NodeRecord, ParityGame, Strategy
 from sinkgames.oracle import enumerate_optimal_response, play_values
 from sinkgames.playvalues import PlayValue, compare
-from sinkgames.solvers import verify_optimal
+from sinkgames.reduction import reduce_game, trivial_strategies
+from sinkgames.rules import switch_all_rule
+from sinkgames.solvers import run_gssi, run_si, run_ssi, verify_optimal
 from sinkgames.valuation import (
     _INDEX_CACHE,
     NotAdmissibleError,
+    game_index,
     improving_moves,
     j_set,
+    solve_values,
+    strategy_codes,
     valuate,
 )
 
@@ -336,3 +342,107 @@ class TestIndexCache:
             del game, strategy
         gc.collect()
         assert len(_INDEX_CACHE) == start
+
+
+def _seeded_games(rng, count):
+    """Sink games with one admissible strategy per player: small random
+    sink games with sampled strategies, and reductions of 8-24-node parity
+    games with their trivial strategies."""
+    out = []
+    while len(out) < count:
+        if rng.random() < 0.4:
+            game = random_sink_game(rng, max_nodes=10)
+            pair = admissible_pair(game, rng)
+        else:
+            game, rmap = reduce_game(random_parity_game(rng, min_nodes=8, max_nodes=24))
+            pair = trivial_strategies(game, rmap)
+        if pair is not None:
+            out.append((game, pair))
+    return out
+
+
+def _codes_or_error(*args):
+    try:
+        return solve_values(*args)
+    except NotAdmissibleError as exc:
+        return str(exc)
+
+
+class TestIncrementalRevaluation:
+    def test_cone_restart_matches_cold_start(self):
+        # chains of random switch sets, improving or not, some of which
+        # leave the strategy inadmissible; the restart must reproduce the
+        # cold codes or its error exactly
+        rng = random.Random(173)
+        outcomes = {"same": 0, "error": 0, "cone_changed_outside_switches": 0}
+        for game, pair in _seeded_games(rng, 60):
+            gi = game_index(game)
+            for strategy in pair:
+                minimize = strategy.player == 0
+                strat = gi.strategy_array(strategy)
+                first, rest = gi.subgraph_arrays(strat, strategy.player)
+                prev = solve_values(gi, first, rest, minimize)
+                own = gi.nodes0 if minimize else gi.nodes1
+                movable = [v for v in own if len(gi.adj_unique[v]) > 1]
+                if not movable:
+                    continue
+                for _ in range(8):
+                    switched = rng.sample(movable, rng.randint(1, min(3, len(movable))))
+                    new_first = list(first)
+                    for v in switched:
+                        new_first[v] = rng.choice(gi.adj_unique[v])
+                    got = _codes_or_error(gi, new_first, rest, minimize, prev, switched)
+                    assert got == _codes_or_error(gi, new_first, rest, minimize)
+                    if isinstance(got, str):
+                        outcomes["error"] += 1
+                        continue
+                    outcomes["same"] += 1
+                    changed = {v for v in range(len(got)) if got[v] != prev[v]}
+                    if changed - set(switched):
+                        outcomes["cone_changed_outside_switches"] += 1
+                    first, prev = new_first, got
+        assert outcomes["same"] > 400
+        assert outcomes["error"] > 75
+        assert outcomes["cone_changed_outside_switches"] > 200
+
+    def test_no_switch_keeps_every_code(self):
+        inst = gen_table1(4)
+        gi, cold = strategy_codes(inst.game, inst.sigma0)
+        first, rest = gi.subgraph_arrays(gi.strategy_array(inst.sigma0), 0)
+        assert solve_values(gi, first, rest, True, cold, ()) == cold
+
+    def test_solver_runs_match_cold_valuations(self):
+        # every pass of the loops revalues incrementally; the final
+        # valuations must equal cold valuations of the final strategies
+        rng = random.Random(179)
+        for game, (sigma, tau) in _seeded_games(rng, 20):
+            results = [run_si(game, sigma, switch_all_rule()), run_si(game, tau, switch_all_rule())]
+            results += [run_ssi(game, sigma, tau, switch_all_rule())]
+            results += [run_gssi(game, sigma, tau, switch_all_rule())]
+            for result in results:
+                for final, xi in ((result.sigma, result.xi_sigma), (result.tau, result.xi_tau)):
+                    if final is not None:
+                        assert xi.codes == valuate(game, final).codes
+
+
+class TestCodecBase:
+    def test_base_is_sized_to_the_node_count(self):
+        # every final code, start and optimum alike, decodes to counts of
+        # at most n under the base 2(n+2)+4
+        rng = random.Random(181)
+        cases = []
+        for gen, sizes in ((gen_table1, (1, 4, 9)), (gen_table2, (1, 3, 5))):
+            for n in sizes:
+                inst = gen(n)
+                cases.append((inst.game, (inst.sigma0, inst.tau0)))
+        cases += _seeded_games(rng, 30)
+        for game, (sigma, tau) in cases:
+            n = game.num_nodes
+            gi = game_index(game)
+            assert gi.codec.base == 2 * (n + 2) + 4
+            result = run_ssi(game, sigma, tau, switch_all_rule())
+            for xi in (valuate(game, sigma), valuate(game, tau), result.xi_sigma, result.xi_tau):
+                for v, value in xi.values.items():
+                    assert value.is_finite
+                    assert all(0 < c <= n for _, c in value.counts)
+                    assert gi.codec.encode(value) == xi.codes[gi.index[v]]
