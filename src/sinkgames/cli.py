@@ -170,33 +170,35 @@ def _resolve_solve_inputs(args: argparse.Namespace, needed: tuple[int, ...]):
         if violations:
             raise InputError("; ".join(str(v) for v in violations))
         sigma0 = tau0 = None
-    if args.sigma0:
-        sigma0 = traces.parse_strategy_text(_read_text(args.sigma0), game)
-        if sigma0.player != PLAYER0:
-            raise InputError("--sigma0 file describes a player 1 strategy")
-    if args.tau0:
-        tau0 = traces.parse_strategy_text(_read_text(args.tau0), game)
-        if tau0.player != PLAYER1:
-            raise InputError("--tau0 file describes a player 0 strategy")
-    if sigma0 is None and PLAYER0 in needed:
-        sigma0 = _default_strategy(game, PLAYER0)
-    if tau0 is None and PLAYER1 in needed:
-        tau0 = _default_strategy(game, PLAYER1)
-    return game, game_id, sigma0, tau0
+    starts = [sigma0, tau0]
+    for p, flag, path in ((PLAYER0, "--sigma0", args.sigma0), (PLAYER1, "--tau0", args.tau0)):
+        if path:
+            text = _read_text(path)
+            try:
+                starts[p] = traces.parse_strategy_text(text, game)
+            except ValueError as exc:
+                raise InputError(f"{flag} file is invalid: {exc}") from exc
+            if starts[p].player != p:
+                raise InputError(f"{flag} file describes a player {1 - p} strategy")
+    for p in needed:
+        if starts[p] is None:
+            starts[p] = _default_strategy(game, p)
+    return game, game_id, starts[PLAYER0], starts[PLAYER1]
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace and not args.trace.endswith((".csv", ".json")):
         raise InputError("--trace file must end in .csv or .json")
-    player = PLAYER1 if args.algo == "si" and args.player == 1 else PLAYER0
-    needed = (player,) if args.algo == "si" else (PLAYER0, PLAYER1)
-    game, game_id, sigma0, tau0 = _resolve_solve_inputs(args, needed)
     if args.player is not None and args.algo != "si":
         raise InputError("--player only applies to --algo si")
-    try:
-        rule = make_rule(args.rule, args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    player = PLAYER1 if args.algo == "si" and args.player == 1 else PLAYER0
+    needed = (player,) if args.algo == "si" else (PLAYER0, PLAYER1)
+    outputs = ((PLAYER0, "sigma", args.sigma_out), (PLAYER1, "tau", args.tau_out))
+    for p, name, path in outputs:
+        if path and p not in needed:
+            raise InputError(f"run produced no player {p} strategy for --{name}-out")
+    game, game_id, sigma0, tau0 = _resolve_solve_inputs(args, needed)
+    rule = make_rule(args.rule, args.seed)
 
     if args.algo == "si":
         start = sigma0 if player == PLAYER0 else tau0
@@ -214,19 +216,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"seed: {'-' if args.seed is None else args.seed}")
     print(f"iterations: {result.iterations}")
     print(f"certificate: {status}")
-    if result.sigma is not None:
-        print("sigma: " + " ".join(f"{v}->{w}" for v, w in sorted(result.sigma.choice.items())))
-    if result.tau is not None:
-        print("tau: " + " ".join(f"{v}->{w}" for v, w in sorted(result.tau.choice.items())))
-
-    if args.sigma_out:
-        if result.sigma is None:
-            raise InputError("run produced no player 0 strategy for --sigma-out")
-        _write_text(args.sigma_out, traces.write_strategy_text(result.sigma))
-    if args.tau_out:
-        if result.tau is None:
-            raise InputError("run produced no player 1 strategy for --tau-out")
-        _write_text(args.tau_out, traces.write_strategy_text(result.tau))
+    for p, name, path in outputs:
+        final = (result.sigma, result.tau)[p]
+        if final is not None:
+            print(f"{name}: " + " ".join(f"{v}->{w}" for v, w in sorted(final.choice.items())))
+        if path:
+            _write_text(path, traces.write_strategy_text(final))
     if args.trace:
         trace = traces.build_trace_file(
             game, result, game_id, args.algo, args.rule, args.seed, certificate=status

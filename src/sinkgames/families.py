@@ -32,9 +32,6 @@ class LabeledInstance:
                 return v
         raise KeyError(label)
 
-    def edge(self, source: str, target: str) -> tuple[int, int]:
-        return (self.id_of(source), self.id_of(target))
-
 
 def gen_table1(n: int) -> LabeledInstance:
     """Ladder family: 2n+2 nodes, 6n edges.

@@ -103,9 +103,6 @@ class ParityGame:
     def priorities(self) -> tuple[int, ...]:
         return tuple(sorted({rec.priority for rec in self._records.values()}))
 
-    def edge_list(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, w) for u in self._ids for w in self._edges[u])
-
     @property
     def num_nodes(self) -> int:
         return len(self._ids)
@@ -137,9 +134,6 @@ class Strategy:
     player: int
     choice: dict[int, int] = field(default_factory=dict)
 
-    def target(self, v: int) -> int:
-        return self.choice[v]
-
     def rewired(self, edges: Iterable[tuple[int, int]]) -> "Strategy":
         """New strategy with the given (node, successor) choices replaced."""
         updated = dict(self.choice)
@@ -148,9 +142,6 @@ class Strategy:
                 raise ValueError(f"node {v} is not covered by this strategy")
             updated[v] = w
         return Strategy(self.player, updated)
-
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.choice.items())
 
 
 def check_strategy(game: ParityGame, strategy: Strategy) -> None:

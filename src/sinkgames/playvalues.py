@@ -63,9 +63,6 @@ class PlayValue:
                 break
         return 0
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
     def __lt__(self, other: "PlayValue") -> bool:
         return compare(self, other) == LESS
 

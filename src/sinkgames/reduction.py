@@ -281,6 +281,6 @@ def solve_winners(game: ParityGame, rule: ImprovementRule | None = None) -> Winn
         xi_sigma=result_sigma.xi_sigma,
         xi_tau=result_tau.xi_tau,
         iterations=result_sigma.iterations + result_tau.iterations,
-        trace=IterationTrace((), result_sigma.sigma, result_tau.tau),
+        trace=IterationTrace(()),
     )
     return extract_winners(reduced, rmap, combined)

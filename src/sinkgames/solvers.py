@@ -9,10 +9,20 @@ choice, and repeat until no candidate remains:
 * generalized symmetric improvement: the filter is the weak candidate set
   under the opponent's valuation instead of the counterstrategy edges.
 
+One loop serves all three. It keeps each piece of per-player state (the
+strategy, its subgraph arrays, its codes, the nodes switched since its last
+valuation, its improving edges) in a two-slot list indexed by
+``PLAYER0``/``PLAYER1`` and runs each step once per player that has a start
+strategy: one in single-player improvement, both otherwise. The cache of
+counterstrategy choices is crossed: ``counter[q]`` holds the opponent's best
+response to player ``q``'s codes, is emptied when ``q`` is revalued, and
+filters the edges of player ``1 - q``.
+
 The loops rewire both strategies simultaneously from one chosen set per
-iteration. A player's first valuation starts cold; each later one resumes
-from the previous and recomputes only the backward cone of the nodes
-switched since. An "iteration" is a pass that applies at least one switch; the
+iteration. A player is revalued when it has never been valued or has
+switched since: the first valuation starts cold, each later one resumes
+from the previous and recomputes only the backward cone of the switched
+nodes. An "iteration" is a pass that applies at least one switch; the
 final pass that only detects termination is recorded in the trace but not
 counted.
 """
@@ -57,11 +67,9 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Ordered per-pass records plus the terminal strategies."""
+    """Ordered per-pass records."""
 
     iterations: tuple[IterationRecord, ...]
-    final_sigma: Strategy | None
-    final_tau: Strategy | None
 
 
 @dataclass(frozen=True)
@@ -120,27 +128,25 @@ def _run_loop(
     gi = game_index(game)
     ids = gi.ids
     index = gi.index
+    starts = (sigma0, tau0)
+    players = tuple(p for p in (PLAYER0, PLAYER1) if starts[p] is not None)
 
-    sigma = gi.strategy_array(sigma0) if sigma0 is not None else None
-    tau = gi.strategy_array(tau0) if tau0 is not None else None
-    sf0 = sr0 = sf1 = sr1 = None
-    if sigma is not None:
-        sf0, sr0 = gi.subgraph_arrays(sigma, PLAYER0)
-    if tau is not None:
-        sf1, sr1 = gi.subgraph_arrays(tau, PLAYER1)
-
-    vals0: list[int] | None = None
-    vals1: list[int] | None = None
-    sigma_dirty = sigma is not None
-    tau_dirty = tau is not None
+    # per-player state, indexed by PLAYER0/PLAYER1; the slots of a player
+    # without a start strategy stay unused
+    strategy: list[list[int | None] | None] = [None, None]
+    first: list[list[int] | None] = [None, None]
+    rest: list[list[tuple[int, ...]] | None] = [None, None]
+    codes: list[list[int] | None] = [None, None]
     # nodes switched since each player's last valuation, whose backward
     # cone is all that the next valuation recomputes
-    sigma_switched: list[int] = []
-    tau_switched: list[int] = []
-    i_sigma: list[tuple[int, int]] = []
-    i_tau: list[tuple[int, int]] = []
-    sigma_bar: dict[int, int] = {}
-    tau_bar: dict[int, int] = {}
+    switched: list[list[int]] = [[], []]
+    improving: list[list[tuple[int, int]]] = [[], []]
+    # counter[q]: the opponent's best response to player q's codes at the
+    # sources asked for so far; it filters the edges of player 1 - q
+    counter: list[dict[int, int]] = [{}, {}]
+    for p in players:
+        strategy[p] = gi.strategy_array(starts[p])
+        first[p], rest[p] = gi.subgraph_arrays(strategy[p], p)
 
     records: list[IterationRecord] = []
     switching = 0
@@ -152,44 +158,31 @@ def _run_loop(
         if passes > bound + 1:
             raise SolverInvariantError("iteration count exceeded the strategy-pair bound")
 
-        if sigma_dirty:
-            assert sigma is not None and sf0 is not None and sr0 is not None
-            vals0 = solve_values(gi, sf0, sr0, True, vals0, sigma_switched)
-            sigma_switched = []
-            i_sigma = improving_edges(gi, sigma, vals0, PLAYER0)
-            sigma_bar = {}
-            sigma_dirty = False
-        if tau_dirty:
-            assert tau is not None and sf1 is not None and sr1 is not None
-            vals1 = solve_values(gi, sf1, sr1, False, vals1, tau_switched)
-            tau_switched = []
-            i_tau = improving_edges(gi, tau, vals1, PLAYER1)
-            tau_bar = {}
-            tau_dirty = False
-
+        for p in players:
+            if codes[p] is None or switched[p]:
+                codes[p] = solve_values(gi, first[p], rest[p], p == PLAYER0, codes[p], switched[p])
+                switched[p] = []
+                improving[p] = improving_edges(gi, strategy[p], codes[p], p)
+                counter[p] = {}
         candidates: list[tuple[int, int]] = []
-        if mode == SI:
-            candidates = list(i_sigma if sigma is not None else i_tau)
-        elif mode == SSI:
-            missing = tuple(dict.fromkeys(v for v, _ in i_sigma if v not in tau_bar))
-            if missing:
-                tau_bar.update(counter_choices(gi, vals1, False, missing))
-            missing = tuple(dict.fromkeys(v for v, _ in i_tau if v not in sigma_bar))
-            if missing:
-                sigma_bar.update(counter_choices(gi, vals0, True, missing))
-            candidates = [(v, w) for v, w in i_sigma if tau_bar[v] == w]
-            candidates += [(v, w) for v, w in i_tau if sigma_bar[v] == w]
-        else:  # GSSI
-            candidates = weak_edges(i_sigma, sigma, vals1, PLAYER0)
-            candidates += weak_edges(i_tau, tau, vals0, PLAYER1)
+        for p in players:
+            q = 1 - p
+            if mode == SI:
+                candidates += improving[p]
+            elif mode == SSI:
+                missing = tuple(dict.fromkeys(v for v, _ in improving[p] if v not in counter[q]))
+                if missing:
+                    counter[q].update(counter_choices(gi, codes[q], q == PLAYER0, missing))
+                candidates += [(v, w) for v, w in improving[p] if counter[q][v] == w]
+            else:  # GSSI
+                candidates += weak_edges(improving[p], strategy[p], codes[q], p)
 
+        sizes = (len(improving[PLAYER0]), len(improving[PLAYER1]))
         if not candidates:
-            records.append(
-                IterationRecord(passes, (), len(i_sigma), len(i_tau), 0)
-            )
+            records.append(IterationRecord(passes, (), *sizes, 0))
             break
 
-        ctx = RuleContext(gi, vals0, vals1)
+        ctx = RuleContext(gi, codes[PLAYER0], codes[PLAYER1])
         id_candidates = sorted((ids[v], ids[w]) for v, w in candidates)
         chosen = rule.select(id_candidates, ctx)
         if not chosen:
@@ -206,39 +199,20 @@ def _run_loop(
                 raise SolverInvariantError(f"rule chose two edges out of node {v_id}")
             sources_seen.add(v_id)
             v, w = index[v_id], index[w_id]
-            if gi.owner0[v]:
-                assert sigma is not None and sf0 is not None
-                sigma[v] = w
-                sf0[v] = w
-                sigma_dirty = True
-                sigma_switched.append(v)
-                switches.append((PLAYER0, v_id, w_id))
-            else:
-                assert tau is not None and sf1 is not None
-                tau[v] = w
-                sf1[v] = w
-                tau_dirty = True
-                tau_switched.append(v)
-                switches.append((PLAYER1, v_id, w_id))
-        records.append(
-            IterationRecord(passes, tuple(switches), len(i_sigma), len(i_tau), len(candidates))
-        )
+            p = PLAYER0 if gi.owner0[v] else PLAYER1
+            strategy[p][v] = first[p][v] = w
+            switched[p].append(v)
+            switches.append((p, v_id, w_id))
+        records.append(IterationRecord(passes, tuple(switches), *sizes, len(candidates)))
         switching += 1
 
-    final_sigma = (
-        Strategy(PLAYER0, {ids[v]: ids[w] for v, w in enumerate(sigma) if w is not None})
-        if sigma is not None
-        else None
-    )
-    final_tau = (
-        Strategy(PLAYER1, {ids[v]: ids[w] for v, w in enumerate(tau) if w is not None})
-        if tau is not None
-        else None
-    )
-    xi_sigma = valuation_from_codes(gi, vals0, PLAYER0) if vals0 is not None else None
-    xi_tau = valuation_from_codes(gi, vals1, PLAYER1) if vals1 is not None else None
-    trace = IterationTrace(tuple(records), final_sigma, final_tau)
-    return SolveResult(final_sigma, final_tau, xi_sigma, xi_tau, switching, trace)
+    final: list[Strategy | None] = [None, None]
+    xi: list[Valuation | None] = [None, None]
+    for p in players:
+        final[p] = Strategy(p, {ids[v]: ids[w] for v, w in enumerate(strategy[p]) if w is not None})
+        xi[p] = valuation_from_codes(gi, codes[p], p)
+    trace = IterationTrace(tuple(records))
+    return SolveResult(final[PLAYER0], final[PLAYER1], xi[PLAYER0], xi[PLAYER1], switching, trace)
 
 
 def run_si(game: ParityGame, start: Strategy, rule: ImprovementRule) -> SolveResult:
@@ -292,16 +266,13 @@ def replay_trace(
     trace: IterationTrace,
 ) -> tuple[Strategy | None, Strategy | None]:
     """Re-apply a trace's switch sequence to the initial strategies."""
-    sigma, tau = sigma0, tau0
+    strategies = [sigma0, tau0]
     for record in trace.iterations:
-        sigma_edges = [(v, w) for owner, v, w in record.switches if owner == PLAYER0]
-        tau_edges = [(v, w) for owner, v, w in record.switches if owner == PLAYER1]
-        if sigma_edges:
-            if sigma is None:
-                raise ValueError("trace switches a player 0 edge but no strategy was given")
-            sigma = sigma.rewired(sigma_edges)
-        if tau_edges:
-            if tau is None:
-                raise ValueError("trace switches a player 1 edge but no strategy was given")
-            tau = tau.rewired(tau_edges)
-    return sigma, tau
+        for p in (PLAYER0, PLAYER1):
+            edges = [(v, w) for owner, v, w in record.switches if owner == p]
+            if not edges:
+                continue
+            if strategies[p] is None:
+                raise ValueError(f"trace switches a player {p} edge but no strategy was given")
+            strategies[p] = strategies[p].rewired(edges)
+    return strategies[PLAYER0], strategies[PLAYER1]

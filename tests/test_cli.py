@@ -204,6 +204,38 @@ class TestSolve:
         assert err == "error: --trace file must end in .csv or .json\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flag, side", [("--sigma0", []), ("--tau0", ["--player", "1"])]
+    )
+    def test_malformed_start_strategy_file(self, tmp_path, capsys, flag, side):
+        game_file, bad = tmp_path / "g.pg", tmp_path / "bad.txt"
+        game_file.write_text(write_pgsolver(gen_table1(2).game))
+        bad.write_text("1 9\n")
+        code, out, err = run_cli(
+            capsys, "solve", "--algo", "si", *side, "--game", str(game_file), flag, str(bad)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} file is invalid: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "side, flag, player",
+        [(["--player", "1"], "--sigma-out", 0), ([], "--tau-out", 1)],
+    )
+    def test_missing_output_strategy_is_rejected_before_solving(
+        self, tmp_path, capsys, side, flag, player
+    ):
+        sigma_out, tau_out = tmp_path / "sigma.txt", tmp_path / "tau.txt"
+        code, out, err = run_cli(
+            capsys, "solve", "--algo", "si", *side, "--family", "table1", "--n", "3",
+            "--sigma-out", str(sigma_out), "--tau-out", str(tau_out),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: run produced no player {player} strategy for {flag}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReduce:
     def test_output_parses_and_solves(self, tmp_path, capsys):

@@ -157,7 +157,7 @@ class TestExtractWinners:
         game = ParityGame([NodeRecord(0, 0, 2, None)], {0: (0,)})
         reduced, rmap = reduce_game(game)
         sigma0, tau0 = trivial_strategies(reduced, rmap)
-        fake = SolveResult(sigma0, tau0, None, None, 0, IterationTrace((), sigma0, tau0))
+        fake = SolveResult(sigma0, tau0, None, None, 0, IterationTrace(()))
         with pytest.raises(SolverInvariantError):
             extract_winners(reduced, rmap, fake)
 
