@@ -7,11 +7,9 @@ from .game import (
     NodeRecord,
     ParityGame,
     Strategy,
-    StrategySubgraph,
     Violation,
     check_strategy,
     infer_sink,
-    strategy_subgraph,
     validate_game,
 )
 from .playvalues import NEG_INF, POS_INF, PlayValue, ValueCodec, add_priority, compare

@@ -1,5 +1,7 @@
-"""Game graphs, positional strategies, validation, and strategy subgraphs.
+"""Game graphs, positional strategies and validation.
 
+A game keeps its nodes as columns: owner, priority, label and successor dicts
+keyed by node id, in ascending id order; NodeRecords are built on request.
 Games are immutable after construction and all operations here are pure, so
 shared instances are safe to use concurrently.
 """
@@ -11,6 +13,8 @@ from typing import Iterable, Mapping, Sequence
 
 PLAYER0 = 0
 PLAYER1 = 1
+
+Columns = tuple[list[int], list[int], list[int], list[str | None], list[tuple[int, ...]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,7 +48,7 @@ class ParityGame:
     invariants so that :func:`validate_game` can report them.
     """
 
-    __slots__ = ("_records", "_edges", "sink", "_ids", "__weakref__")
+    __slots__ = ("_ids", "_owner", "_priority", "_label", "_edges", "sink", "__weakref__")
 
     def __init__(
         self,
@@ -52,23 +56,57 @@ class ParityGame:
         edges: Mapping[int, Sequence[int]],
         sink: int | None = None,
     ):
-        records: dict[int, NodeRecord] = {}
-        for rec in nodes:
-            if rec.id < 0:
-                raise ValueError(f"node id {rec.id} is negative")
-            if rec.id in records:
-                raise ValueError(f"duplicate node id {rec.id}")
-            if rec.owner not in (PLAYER0, PLAYER1):
-                raise ValueError(f"node {rec.id} has invalid owner {rec.owner!r}")
-            records[rec.id] = rec
-        for u in edges:
-            if u not in records:
-                raise ValueError(f"edge source {u} is not a node")
-        if sink is not None and sink not in records:
+        nodes = tuple(nodes)
+        ids = [rec.id for rec in nodes]
+        owners = [rec.owner for rec in nodes]
+        priorities = [rec.priority for rec in nodes]
+        labels = [rec.label for rec in nodes]
+        self._setup(ids, owners, priorities, labels, [edges.get(v, ()) for v in ids], sink, edges)
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Sequence[int],
+        owners: Sequence[int],
+        priorities: Sequence[int],
+        labels: Sequence[str | None],
+        successors: Sequence[Sequence[int]],
+        sink: int | None = None,
+    ) -> ParityGame:
+        """The game of parallel columns, one entry per node, in any id order.
+        Same checks as the constructor; the game copies what it keeps."""
+        if not len(ids) == len(owners) == len(priorities) == len(labels) == len(successors):
+            raise ValueError("columns differ in length")
+        game = cls.__new__(cls)
+        game._setup(ids, owners, priorities, labels, successors, sink, ())
+        return game
+
+    def _setup(self, ids, owners, priorities, labels, successors, sink, sources) -> None:
+        """The one validation core: each check runs over a whole column, and
+        a failed one rescans in node order to name the first offender."""
+        owner = dict(zip(ids, owners))
+        if len(owner) < len(ids) or ids and min(ids) < 0 or not set(owners) <= {PLAYER0, PLAYER1}:
+            seen = set()
+            for v, who in zip(ids, owners):
+                if v < 0:
+                    raise ValueError(f"node id {v} is negative")
+                if v in seen:
+                    raise ValueError(f"duplicate node id {v}")
+                if who not in (PLAYER0, PLAYER1):
+                    raise ValueError(f"node {v} has invalid owner {who!r}")
+                seen.add(v)
+        if not owner.keys() >= set(sources):
+            stray = next(u for u in sources if u not in owner)
+            raise ValueError(f"edge source {stray} is not a node")
+        if sink is not None and sink not in owner:
             raise ValueError(f"sink {sink} is not a node")
-        self._ids = tuple(sorted(records))
-        self._records = {v: records[v] for v in self._ids}
-        self._edges = {v: tuple(edges.get(v, ())) for v in self._ids}
+        order = sorted(ids)
+        rows = map(tuple, successors)
+        dicts = [owner] + [dict(zip(ids, column)) for column in (priorities, labels, rows)]
+        if order != list(ids):  # every dict iterates in ascending id order
+            dicts = [{v: column[v] for v in order} for column in dicts]
+        self._ids = tuple(order)
+        self._owner, self._priority, self._label, self._edges = dicts
         self.sink = sink
 
     @property
@@ -77,19 +115,25 @@ class ParityGame:
 
     @property
     def nodes(self) -> tuple[NodeRecord, ...]:
-        return tuple(self._records.values())
+        return tuple(map(NodeRecord, *self.columns()[:4]))
 
     def node(self, v: int) -> NodeRecord:
-        return self._records[v]
+        return NodeRecord(v, self._owner[v], self._priority[v], self._label[v])
+
+    def columns(self) -> Columns:
+        """Fresh lists in ascending id order: ids, owners, priorities,
+        labels and successor tuples."""
+        columns = (self._owner, self._priority, self._label, self._edges)
+        return (list(self._ids), *(list(column.values()) for column in columns))
 
     def owner(self, v: int) -> int:
-        return self._records[v].owner
+        return self._owner[v]
 
     def priority(self, v: int) -> int:
-        return self._records[v].priority
+        return self._priority[v]
 
     def label(self, v: int) -> str | None:
-        return self._records[v].label
+        return self._label[v]
 
     def successors(self, v: int) -> tuple[int, ...]:
         return self._edges[v]
@@ -98,10 +142,10 @@ class ParityGame:
         return u in self._edges and v in self._edges[u]
 
     def nodes_of(self, player: int) -> tuple[int, ...]:
-        return tuple(v for v in self._ids if self._records[v].owner == player)
+        return tuple(v for v, owner in self._owner.items() if owner == player)
 
     def priorities(self) -> tuple[int, ...]:
-        return tuple(sorted({rec.priority for rec in self._records.values()}))
+        return tuple(sorted(set(self._priority.values())))
 
     @property
     def num_nodes(self) -> int:
@@ -109,19 +153,15 @@ class ParityGame:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(self._edges[v]) for v in self._ids)
+        return sum(map(len, self._edges.values()))
 
     def __contains__(self, v: int) -> bool:
-        return v in self._records
+        return v in self._owner
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParityGame):
             return NotImplemented
-        return (
-            self._records == other._records
-            and self._edges == other._edges
-            and self.sink == other.sink
-        )
+        return self.sink == other.sink and self.columns() == other.columns()
 
     def __repr__(self) -> str:
         return f"ParityGame(nodes={self.num_nodes}, edges={self.num_edges}, sink={self.sink})"
@@ -161,26 +201,6 @@ def check_strategy(game: ParityGame, strategy: Strategy) -> None:
     for v, w in strategy.choice.items():
         if w not in game.successors(v):
             raise ValueError(f"strategy uses non-edge ({v}, {w})")
-
-
-@dataclass(frozen=True)
-class StrategySubgraph:
-    """The base game with the fixed player's moves pinned to their choices."""
-
-    base: ParityGame
-    fixed: Strategy
-
-    def successors(self, v: int) -> tuple[int, ...]:
-        if self.base.owner(v) == self.fixed.player:
-            return (self.fixed.choice[v],)
-        return self.base.successors(v)
-
-
-def strategy_subgraph(game: ParityGame, strategy: Strategy) -> StrategySubgraph:
-    """Restrict the fixed player's nodes to their chosen edge; the base game
-    is shared, not copied."""
-    check_strategy(game, strategy)
-    return StrategySubgraph(game, strategy)
 
 
 def validate_game(game: ParityGame, require_sink: bool = False) -> list[Violation]:
@@ -225,15 +245,18 @@ def validate_game(game: ParityGame, require_sink: bool = False) -> list[Violatio
 def infer_sink(game: ParityGame) -> int | None:
     """The unique strictly-minimal-priority node whose only edge is its
     self-loop, or None if no such node exists."""
-    return sink_of(game.nodes, game._edges)
+    ids, _, priorities, _, successors = game.columns()
+    return sink_of(ids, priorities, successors)
 
 
-def sink_of(nodes: Sequence[NodeRecord], edges: Mapping[int, Sequence[int]]) -> int | None:
-    """:func:`infer_sink` on the parts of a game before it is built."""
-    if not nodes:
+def sink_of(
+    ids: Sequence[int], priorities: Sequence[int], successors: Sequence[Sequence[int]]
+) -> int | None:
+    """:func:`infer_sink` on the parallel columns of a game before it is built."""
+    if not ids:
         return None
-    low = min(rec.priority for rec in nodes)
-    lowest = [rec.id for rec in nodes if rec.priority == low]
-    if len(lowest) > 1 or tuple(edges.get(lowest[0], ())) != (lowest[0],):
+    low = min(priorities)
+    if priorities.count(low) > 1:
         return None
-    return lowest[0]
+    i = priorities.index(low)
+    return ids[i] if tuple(successors[i]) == (ids[i],) else None

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import NoReturn
 
-from .game import NodeRecord, ParityGame, sink_of
+from .game import ParityGame, sink_of
 
 # One node statement after any empty ones: id, priority, owner, successor
 # list, optional label. Numbers that follow each other need a space between
@@ -139,51 +139,46 @@ def parse_pgsolver(text: str) -> ParityGame:
     offending node id (duplicates, ids above the header's maximum,
     dangling successors).
     """
-    records: list[NodeRecord] = []
-    edges: dict[int, tuple[int, ...]] = {}
-    seen: dict[int, int] = {}  # node id -> offset of the id, for errors
+    statements: list[tuple[str, ...]] = []  # priority, owner, successors, label
+    seen: dict[int, int] = {}  # node id -> offset of the id, in file order
     header = _HEADER.match(text)
     max_id = int(header[1]) if header else None
     pos = header.end() if header else 0
     match = _NODE.match
     while (m := match(text, pos)) is not None:
-        node_id, priority, owner, succs, label = m.groups()
-        node_id = int(node_id)
+        node_id = int(m[1])
         if node_id in seen or max_id is not None and node_id > max_id:
             break
         seen[node_id] = m.start(1)
-        records.append(NodeRecord(node_id, int(owner), int(priority), label))
-        edges[node_id] = tuple(map(int, succs.split(",")))
+        statements.append(m.groups()[1:])
         pos = m.end()
     if not _BLANK.fullmatch(text, pos):
-        _reject(text, pos, seen, max_id, first=header is None and not records)
-    if not records:
+        _reject(text, pos, seen, max_id, first=header is None and not seen)
+    if not seen:
         raise ParseError("no node statements" if text.strip(" \t\r\n") else "empty input", 1, 1)
-    for node_id, succs in edges.items():
-        for w in succs:
-            if w not in seen:
-                raise _error(
-                    text, f"node {node_id} lists successor {w} which is not a node", seen[node_id]
-                )
-    return ParityGame(records, edges, sink=sink_of(records, edges))
+    ids = list(seen)
+    priorities, owners, succs, labels = zip(*statements)
+    rows = [tuple(map(int, row.split(","))) for row in succs]
+    if not seen.keys() >= set().union(*rows):
+        node_id, w = next((v, w) for v, row in zip(ids, rows) for w in row if w not in seen)
+        message = f"node {node_id} lists successor {w} which is not a node"
+        raise _error(text, message, seen[node_id])
+    owners, priorities = list(map(int, owners)), list(map(int, priorities))
+    sink = sink_of(ids, priorities, rows)
+    return ParityGame.from_columns(ids, owners, priorities, labels, rows, sink=sink)
 
 
 def write_pgsolver(game: ParityGame) -> str:
     """Canonical text form: ascending node ids, adjacency order preserved,
     labels quoted. Priorities must be nonnegative, and labels must hold
     neither ``"`` nor a line break, or the text would not parse back."""
-    lines = [f"parity {max(game.node_ids)};"]
-    for v in game.node_ids:
-        rec = game.node(v)
-        if rec.priority < 0:
-            raise ValueError(
-                f"node {v} has negative priority {rec.priority}; shift priorities first"
-            )
-        label = ""
-        if rec.label is not None:
-            if '"' in rec.label or "\n" in rec.label:
-                raise ValueError(f"node {v} has label {rec.label!r}; labels cannot hold '\"' or a line break")
-            label = f' "{rec.label}"'
-        succs = ",".join(str(w) for w in game.successors(v))
-        lines.append(f"{v} {rec.priority} {rec.owner} {succs}{label};")
+    ids, owners, priorities, labels, rows = game.columns()
+    lines = [f"parity {max(ids)};"]
+    for v, owner, priority, label, row in zip(ids, owners, priorities, labels, rows):
+        if priority < 0:
+            raise ValueError(f"node {v} has negative priority {priority}; shift priorities first")
+        if label is not None and ('"' in label or "\n" in label):
+            raise ValueError(f"node {v} has label {label!r}; labels cannot hold '\"' or a line break")
+        label = "" if label is None else f' "{label}"'
+        lines.append(f"{v} {priority} {owner} {','.join(map(str, row))}{label};")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import PLAYER0, PLAYER1, NodeRecord, ParityGame, Strategy
+from .game import PLAYER0, PLAYER1, Columns, ParityGame, Strategy
 from .rules import ImprovementRule, switch_all_rule
 from .solvers import IterationTrace, SolveResult, SolverInvariantError, run_si, verify_optimal
 
@@ -48,30 +48,13 @@ class WinnerResult:
     strategy1: dict[int, int]
 
 
-# A game as parallel columns in ascending id order: ids, owners, priorities,
-# labels and successor tuples. Priorities stay as given; the cores report
-# the even shifts, and _build applies their sum once.
-Columns = tuple[list[int], list[int], list[int], list[str | None], list[tuple[int, ...]]]
-
-
-def _columns(game: ParityGame) -> Columns:
-    nodes = game.nodes
-    return (
-        [rec.id for rec in nodes],
-        [rec.owner for rec in nodes],
-        [rec.priority for rec in nodes],
-        [rec.label for rec in nodes],
-        [game.successors(rec.id) for rec in nodes],
-    )
-
-
 def _build(cols: Columns, shift: int, sink: int | None = None) -> ParityGame:
+    """The game of ``cols`` with ``shift`` added to every priority. The
+    cores report even shifts and leave priorities as given; this applies
+    their sum once."""
     ids, owners, priorities, labels, rows = cols
-    nodes = [
-        NodeRecord(v, owner, priority + shift, label)
-        for v, owner, priority, label in zip(ids, owners, priorities, labels)
-    ]
-    return ParityGame(nodes, dict(zip(ids, rows)), sink=sink)
+    priorities = [priority + shift for priority in priorities]
+    return ParityGame.from_columns(ids, owners, priorities, labels, rows, sink=sink)
 
 
 def _even_shift(low: int) -> int:
@@ -136,7 +119,7 @@ def break_same_owner_cycles(game: ParityGame) -> tuple[ParityGame, dict[int, tup
     outgoing edge and are never the top priority of a cycle. Priorities are
     shifted up by an even amount to stay nonnegative.
     """
-    cols = _columns(game)
+    cols = game.columns()
     breakers = _subdivide(cols)
     if not breakers:
         return game, {}
@@ -189,7 +172,7 @@ def to_sink_game(
     cycle = _same_owner_cycle(game)
     if cycle is not None:
         raise ValueError(f"game has a same-owner cycle through nodes {cycle}")
-    cols = _columns(game)
+    cols = game.columns()
     top, w, pw = _attach_sink(cols)
     shift = _even_shift(min(cols[2]))
     base = original if original is not None else game
@@ -207,7 +190,7 @@ def reduce_game(game: ParityGame) -> tuple[ParityGame, ReductionMap]:
     cycle search it checks that no edge of the broken game joins two nodes
     of one owner, which subdivision guarantees.
     """
-    cols = _columns(game)
+    cols = game.columns()
     breakers = _subdivide(cols)
     ids, owners, priorities, _, rows = cols
     shift = _even_shift(min(priorities)) if breakers else 0

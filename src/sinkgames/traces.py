@@ -5,7 +5,7 @@ source, target. The header identifies the run (game id, algorithm, rule,
 seed, game size); the footer carries the switching-iteration count and the
 optimality certificate status. Both serializations hold the same rows.
 
-Strategy files are one ``<node-id> <successor-id>`` pair per line.
+Strategy files are one ``<node-id> <successor-id>`` pair of ASCII numbers per line.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def parse_strategy_text(text: str, game: ParityGame) -> Strategy:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise ValueError(f"strategy line {lineno} must be '<node-id> <successor-id>'")
         v, w = int(parts[0]), int(parts[1])
         if v in choice:

@@ -1,19 +1,34 @@
-"""Shared test helpers: random game generators and an SCC-based
-admissibility check that is independent of the valuation engine."""
+"""Shared test helpers: random game generators, a strategy subgraph and an
+SCC-based admissibility check that is independent of the valuation engine."""
 
 from __future__ import annotations
 
 import random
 
-from sinkgames.game import (
-    PLAYER0,
-    PLAYER1,
-    NodeRecord,
-    ParityGame,
-    Strategy,
-    strategy_subgraph,
-)
+from dataclasses import dataclass
+
+from sinkgames.game import PLAYER0, PLAYER1, NodeRecord, ParityGame, Strategy, check_strategy
 from sinkgames.reduction import reduce_game
+
+
+@dataclass(frozen=True)
+class StrategySubgraph:
+    """The base game with the fixed player's moves pinned to their choices."""
+
+    base: ParityGame
+    fixed: Strategy
+
+    def successors(self, v: int) -> tuple[int, ...]:
+        if self.base.owner(v) == self.fixed.player:
+            return (self.fixed.choice[v],)
+        return self.base.successors(v)
+
+
+def strategy_subgraph(game: ParityGame, strategy: Strategy) -> StrategySubgraph:
+    """Restrict the fixed player's nodes to their chosen edge; the base game
+    is shared, not copied."""
+    check_strategy(game, strategy)
+    return StrategySubgraph(game, strategy)
 
 
 def random_parity_game(

@@ -84,9 +84,12 @@ def test_criterion_3_generalized_iteration_counts():
 
 
 def test_criterion_4_rule_independence():
-    """No improvement rule beats switch-all on either family: the lowest-edge
-    rule and 20 seeded random rules all need at least as many iterations and
-    still end at the verified-optimal pair, for n = 1..8."""
+    """None of 21 sampled rules beats switch-all on either family: the
+    lowest-edge rule and 20 seeded random rules all need at least as many
+    iterations and still end at the verified-optimal pair, for n = 1..8.
+    Not every rule does as well: a search over all rule choices finds
+    ``gssi`` runs on ``table2`` shorter than the closed form (22 < 23 at
+    n = 3, 48 < 51 at n = 4)."""
     rules = [make_rule("single")] + [make_rule("random", seed) for seed in range(20)]
     for family, runner, baseline in (
         (gen_table1, run_ssi, lambda n: 2 ** (n + 1) - 3),

@@ -219,6 +219,20 @@ class TestSolve:
         assert err.startswith(f"error: {flag} file is invalid: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("line", ["0 \u0661", "2 \u00b2"], ids=["arabic-indic", "superscript"])
+    def test_start_strategy_needs_ascii_digits(self, tmp_path, capsys, line):
+        game_file, bad = tmp_path / "g.pg", tmp_path / "bad.txt"
+        game_file.write_text(write_pgsolver(gen_table1(2).game))
+        bad.write_text(f"1 2\n{line}\n")
+        code, out, err = run_cli(
+            capsys, "solve", "--algo", "si", "--game", str(game_file), "--sigma0", str(bad)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: --sigma0 file is invalid: strategy line 2 must be '<node-id> <successor-id>'\n"
+        )
+
     @pytest.mark.parametrize(
         "side, flag, player",
         [(["--player", "1"], "--sigma-out", 0), ([], "--tau-out", 1)],

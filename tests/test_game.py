@@ -3,15 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import is_admissible_scc, random_sink_game, random_strategy
+from conftest import is_admissible_scc, random_sink_game, random_strategy, strategy_subgraph
 from sinkgames.families import gen_table1, gen_table2
 from sinkgames.game import (
     NodeRecord,
     ParityGame,
     Strategy,
     infer_sink,
-    strategy_subgraph,
     validate_game,
 )
 from sinkgames.reduction import reduce_game
@@ -68,6 +68,107 @@ class TestValidateGame:
             ParityGame([NodeRecord(0, 2, 1, None)], {0: (0,)})
         with pytest.raises(ValueError):
             ParityGame([NodeRecord(0, 0, 1, None)], {5: (0,)})
+
+
+def _reference_error(records, edges, sink) -> str | None:
+    """The constructor's checks written out one record at a time, in the
+    order they have always run: each record's id, duplicate and owner, then
+    edge sources, then the sink."""
+    seen = set()
+    for rec in records:
+        if rec.id < 0:
+            return f"node id {rec.id} is negative"
+        if rec.id in seen:
+            return f"duplicate node id {rec.id}"
+        if rec.owner not in (0, 1):
+            return f"node {rec.id} has invalid owner {rec.owner!r}"
+        seen.add(rec.id)
+    for u in edges:
+        if u not in seen:
+            return f"edge source {u} is not a node"
+    if sink is not None and sink not in seen:
+        return f"sink {sink} is not a node"
+    return None
+
+
+def _outcome(make):
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def record_lists(draw):
+    """Records with unsorted ids, gaps, labels and, now and then, duplicate
+    or negative ids, owner 2, an edge source that is not a node or a sink
+    that is not a node."""
+    ids = draw(st.lists(st.integers(0, 30), unique=True, max_size=8))
+    if ids and draw(st.integers(0, 7)) == 0:
+        ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
+    if draw(st.integers(0, 7)) == 0:
+        ids.insert(draw(st.integers(0, len(ids))), draw(st.integers(-3, -1)))
+    records = [
+        NodeRecord(
+            v,
+            draw(st.sampled_from((0, 1) * 8 + (2,))),
+            draw(st.integers(-2, 9)),
+            draw(st.one_of(st.none(), st.text("ab;", max_size=2))),
+        )
+        for v in ids
+    ]
+    targets = st.sampled_from(ids) if ids else st.integers(0, 3)
+    edges = {v: draw(st.lists(targets, max_size=3)) for v in ids if draw(st.integers(0, 5))}
+    if draw(st.integers(0, 7)) == 0:
+        edges[draw(st.integers(0, 32))] = [0]
+    sink = draw(st.one_of(st.none(), st.sampled_from(ids) if ids else st.none(), st.integers(0, 32)))
+    return records, edges, sink
+
+
+class TestFromColumns:
+    @settings(max_examples=400, deadline=None)
+    @given(record_lists())
+    def test_matches_constructor(self, case):
+        records, edges, sink = case
+        ids = [rec.id for rec in records]
+        columns = (
+            ids,
+            [rec.owner for rec in records],
+            [rec.priority for rec in records],
+            [rec.label for rec in records],
+            [list(edges.get(v, ())) for v in ids],
+        )
+        built = _outcome(lambda: ParityGame(records, edges, sink))
+        from_columns = _outcome(lambda: ParityGame.from_columns(*columns, sink=sink))
+        error = _reference_error(records, edges, sink)
+        if error is not None:
+            assert built == error
+        else:
+            assert built.nodes == tuple(sorted(records, key=lambda rec: rec.id))
+            for v in ids:
+                assert built.successors(v) == tuple(edges.get(v, ()))
+        if error is not None and error.startswith("edge source"):
+            # columns cannot name a source outside ``ids``: compare with the
+            # records' own edges
+            own = {v: row for v, row in edges.items() if v in set(ids)}
+            built = _outcome(lambda: ParityGame(records, own, sink))
+        assert from_columns == built
+        if isinstance(from_columns, ParityGame):
+            for row in columns[4]:
+                row.append(-1)
+            for column in columns:
+                column.reverse()
+                column.append(-1)
+            assert from_columns == built
+
+    def test_columns_must_have_equal_lengths(self):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            ParityGame.from_columns([0, 1], [0, 1], [1, 2], [None], [(0,), (0,)])
+
+    def test_columns_round_trip(self):
+        game = gen_table2(2).game
+        assert ParityGame.from_columns(*game.columns(), sink=game.sink) == game
+        assert game.columns()[0] == list(game.node_ids)
 
 
 class TestStrategySubgraph:

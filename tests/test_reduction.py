@@ -28,6 +28,7 @@ from sinkgames.reduction import (
 from sinkgames.rules import switch_all_rule
 from sinkgames.solvers import SolveResult, IterationTrace, SolverInvariantError, run_si
 from sinkgames.valuation import is_admissible
+from winning_check import winning_problems
 
 
 class TestBreakCycles:
@@ -209,3 +210,48 @@ class TestExtractWinners:
             for v, w in {**result.strategy0, **result.strategy1}.items():
                 assert v in game and w in game
                 assert game.has_edge(v, w)
+
+
+class TestWinningStrategies:
+    """``solve_winners`` on games past the brute-force oracle's reach, each
+    result checked by ``winning_check``, which shares no code with the
+    solver."""
+
+    @staticmethod
+    def _game(seed: int, n: int) -> tuple[dict, dict, dict]:
+        rng = random.Random(f"winning/{seed}/{n}")
+        owner = {v: rng.randint(0, 1) for v in range(n)}
+        priority = {v: rng.randint(0, 2 * n) for v in range(n)}
+        successors = {v: tuple(rng.sample(range(n), rng.randint(1, 3))) for v in range(n)}
+        return owner, priority, successors
+
+    @pytest.mark.parametrize("n", [50, 100, 200, 400])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_results_pass_the_independent_check(self, seed, n):
+        owner, priority, successors = self._game(seed, n)
+        game = ParityGame.from_columns(
+            list(owner), list(owner.values()), list(priority.values()), [None] * n,
+            list(successors.values()),
+        )
+        result = solve_winners(game)
+        claim = (set(result.w0), set(result.w1), result.strategy0, result.strategy1)
+        assert winning_problems(owner, priority, successors, *claim) == []
+        rng = random.Random(seed)
+        for v in rng.sample(range(n), 5):
+            w0, w1 = claim[0] ^ {v}, claim[1] ^ {v}
+            assert winning_problems(owner, priority, successors, w0, w1, *claim[2:]), v
+
+    def test_check_rejects_a_losing_cycle(self):
+        # 0 -> 1 -> 0 tops at 3 for player 0, while 2's self-loop tops at 4
+        owner, priority = {0: 0, 1: 1, 2: 1}, {0: 2, 1: 3, 2: 4}
+        successors = {0: (1, 2), 1: (0,), 2: (2,)}
+        assert winning_problems(owner, priority, successors, {0, 1, 2}, set(), {0: 2}, {}) == []
+        assert winning_problems(owner, priority, successors, {0, 1, 2}, set(), {0: 1}, {}) == [
+            "W0 holds a cycle through 1 with top priority of parity 1"
+        ]
+        # the cycle 0 -> 1 -> 0 tops at 4, but 1 -> 2 -> 1 inside it tops at 3
+        owner, priority = {0: 1, 1: 1, 2: 1}, {0: 4, 1: 3, 2: 1}
+        successors = {0: (1,), 1: (0, 2), 2: (1,)}
+        assert winning_problems(owner, priority, successors, {0, 1, 2}, set(), {}, {}) == [
+            "W0 holds a cycle through 1 with top priority of parity 1"
+        ]
