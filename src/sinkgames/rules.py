@@ -28,7 +28,7 @@ class RuleContext:
 
     def __init__(self, gi: GameIndex, codes0: Sequence[int] | None, codes1: Sequence[int] | None):
         self.gi = gi
-        self.codes_by_owner = {PLAYER0: codes0, PLAYER1: codes1}
+        self.codes_by_owner = (codes0, codes1)  # indexed by PLAYER0/PLAYER1
 
     def owner(self, v: int) -> int:
         return PLAYER0 if self.gi.owner0[self.gi.index[v]] else PLAYER1

@@ -170,10 +170,12 @@ def _run_loop(
             if mode == SI:
                 candidates += improving[p]
             elif mode == SSI:
-                missing = tuple(dict.fromkeys(v for v, _ in improving[p] if v not in counter[q]))
+                best = counter[q]
+                # a source with several improving edges may be listed twice
+                missing = [v for v, _ in improving[p] if v not in best]
                 if missing:
-                    counter[q].update(counter_choices(gi, codes[q], q == PLAYER0, missing))
-                candidates += [(v, w) for v, w in improving[p] if counter[q][v] == w]
+                    best.update(counter_choices(gi, codes[q], q == PLAYER0, missing))
+                candidates += [e for e in improving[p] if best[e[0]] == e[1]]
             else:  # GSSI
                 candidates += weak_edges(improving[p], strategy[p], codes[q], p)
 
@@ -183,7 +185,7 @@ def _run_loop(
             break
 
         ctx = RuleContext(gi, codes[PLAYER0], codes[PLAYER1])
-        id_candidates = sorted((ids[v], ids[w]) for v, w in candidates)
+        id_candidates = sorted([(ids[v], ids[w]) for v, w in candidates])
         chosen = rule.select(id_candidates, ctx)
         if not chosen:
             raise SolverInvariantError(

@@ -148,11 +148,12 @@ def parse_strategy_text(text: str, game: ParityGame) -> Strategy:
     """Read a strategy file against a game; the owning player is inferred
     from the listed nodes and the choice map must be total for that player."""
     choice: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+    # lines end in LF or CRLF, and only spaces and tabs separate tokens
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw[:-1] if raw.endswith("\r") else raw
+        parts = [p for p in line.replace("\t", " ").split(" ") if p]
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise ValueError(f"strategy line {lineno} must be '<node-id> <successor-id>'")
         v, w = int(parts[0]), int(parts[1])

@@ -16,9 +16,16 @@ reaches the same fixpoint, which is what makes runs reproducible.
 The improvement loops revalue a strategy incrementally: after a switch only
 the backward cone of the switched nodes (the nodes with a path to one of
 them in the new strategy subgraph) can change value. :func:`solve_values`
-resets that cone to the sentinel and relaxes it alone, while every other
-node keeps its exact previous code, since none of its paths crosses a
-switch. A cold start is the same computation with every node in the cone.
+relaxes that cone alone, while every other node keeps its exact previous
+code, since none of its paths crosses a switch. A cold start is the same
+computation with every node but the sink in the cone.
+
+The cone is found by one DFS over reversed subgraph edges, and its reverse
+postorder puts every node after the nodes it leads to, except along a
+cycle (Tarjan, SIAM J. Comput. 1972). When the DFS meets no cycle, one pass
+in that order is the exact fixpoint. Otherwise the cone restarts from the
+sentinel and is swept in that order until it settles, and the sweep budget
+decides admissibility.
 """
 
 from __future__ import annotations
@@ -56,8 +63,7 @@ class GameIndex:
         "weight",
         "codec",
         "sink",
-        "order",
-        "sink_dist",
+        "_sink_dist",
         "nodes0",
         "nodes1",
         "finite_bound",
@@ -69,52 +75,62 @@ class GameIndex:
         if game.sink is None:
             raise ValueError("game has no designated sink node")
         ids = game.node_ids
+        _, owners, priorities, _, successors = game.columns()
         n = len(ids)
-        self.ids = ids
-        self.index = {v: i for i, v in enumerate(ids)}
-        self.owner0 = [game.owner(v) == PLAYER0 for v in ids]
-        self.adj = [tuple(self.index[w] for w in game.successors(v)) for v in ids]
-        self.adj_unique = [tuple(dict.fromkeys(succs)) for succs in self.adj]
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            for w in self.adj_unique[v]:
-                pred[w].append(v)
-        self.pred = [tuple(vs) for vs in pred]
+        index = {v: i for i, v in enumerate(ids)}
         # A final value is a sum over a simple path, so every count is at
         # most n < base/2 = n + 4: integer order is play-value order, and a
         # cycle's sign is its top priority's. A value on the sentinel side
         # has taken at most n * budget <= n^2 weights of at most
         # base^(P-1) each (P priorities), and 4*base^2 - n^2 > 2*base keeps
         # it beyond finite_bound.
-        self.codec = ValueCodec(game.priorities(), max_count=n + 2)
-        self.weight = [self.codec.weight(game.priority(v)) for v in ids]
-        self.sink = self.index[game.sink]
-        self.nodes0 = tuple(i for i in range(n) if self.owner0[i])
-        self.nodes1 = tuple(i for i in range(n) if not self.owner0[i])
-        self.finite_bound = 2 * self.codec.base ** len(self.codec.priorities)
-        self.pos_init = 4 * self.codec.base ** (len(self.codec.priorities) + 1)
+        self.codec = codec = ValueCodec(priorities, max_count=n + 2)
+        # pred[p][w]: the nodes of player p with an edge to w
+        pred = ([[] for _ in range(n)], [[] for _ in range(n)])
+        if ids and ids[-1] == n - 1:  # ids 0..n-1 are their own indexes
+            adj = successors
+        else:
+            to_index = index.__getitem__
+            adj = [tuple(map(to_index, succs)) for succs in successors]
+        adj_unique = [tuple(dict.fromkeys(row)) for row in adj]
+        for v, (who, row) in enumerate(zip(owners, adj_unique)):
+            into = pred[who]
+            for w in row:
+                into[w].append(v)
+        self.ids = ids
+        self.index = index
+        self.owner0 = [who == PLAYER0 for who in owners]
+        self.adj = adj
+        self.adj_unique = adj_unique
+        self.pred = pred
+        self.weight = [codec.weight(q) for q in priorities]
+        self.sink = index[game.sink]
+        self.nodes0 = tuple(v for v, who in enumerate(owners) if who == PLAYER0)
+        self.nodes1 = tuple(v for v, who in enumerate(owners) if who != PLAYER0)
+        self.finite_bound = 2 * codec.base ** len(codec.priorities)
+        self.pos_init = 4 * codec.base ** (len(codec.priorities) + 1)
         self.neg_init = -self.pos_init
-        self.order, self.sink_dist = self._sink_bfs()
+        self._sink_dist: list[int] | None = None
 
-    def _sink_bfs(self) -> tuple[tuple[int, ...], list[int]]:
-        """Sink-BFS over reversed edges. Returns the evaluation order, in
-        which nodes near the sink relax first (few sweeps on sink-directed
-        graphs), and each node's edge distance to the sink, ``len(ids)``
-        where the sink is unreachable."""
-        n = len(self.ids)
-        dist = [n] * n
-        dist[self.sink] = 0
-        queue = deque([self.sink])
-        order: list[int] = []
-        while queue:
-            w = queue.popleft()
-            for v in self.pred[w]:
-                if dist[v] == n:
-                    dist[v] = dist[w] + 1
-                    order.append(v)
-                    queue.append(v)
-        order.extend(v for v in range(n) if dist[v] == n)
-        return tuple(order), dist
+    @property
+    def sink_dist(self) -> list[int]:
+        """Each node's edge distance to the sink in the game graph, by a BFS
+        over reversed edges on first use; ``len(ids)`` where the sink is
+        unreachable."""
+        if self._sink_dist is None:
+            n = len(self.ids)
+            dist = [n] * n
+            dist[self.sink] = 0
+            queue = deque([self.sink])
+            while queue:
+                w = queue.popleft()
+                for preds in (self.pred[0][w], self.pred[1][w]):
+                    for v in preds:
+                        if dist[v] == n:
+                            dist[v] = dist[w] + 1
+                            queue.append(v)
+            self._sink_dist = dist
+        return self._sink_dist
 
     def subgraph_arrays(
         self, strat: list[int | None], player: int
@@ -231,28 +247,60 @@ def sweep_to_fixpoint(
     return False
 
 
-def backward_cone(
+def successors_first(
     gi: GameIndex,
     succ_first: list[int],
-    succ_rest: list[tuple[int, ...]],
-    switched: Sequence[int],
-) -> list[int]:
-    """The nodes with a path to a node of ``switched`` in the strategy
-    subgraph, the switched nodes included, in evaluation order."""
-    pred = gi.pred
-    in_cone = [False] * len(gi.ids)
-    stack = []
-    for v in switched:
-        if not in_cone[v]:
-            in_cone[v] = True
-            stack.append(v)
+    minimize: bool,
+    roots: Sequence[int],
+    values: list[int],
+    init: int,
+) -> tuple[list[int], list[int]]:
+    """The nodes with a path to a node of ``roots`` in the strategy
+    subgraph, the roots included and the sink left out, in the reverse
+    postorder of one DFS over reversed subgraph edges; and the nodes its
+    back edges lead to, which are there exactly when those nodes span a
+    cycle.
+
+    In reverse postorder every node comes after its successors, except
+    along a cycle, so each SCC follows the SCCs it reaches. Each node's
+    value is set to ``init`` when the DFS finishes it.
+    """
+    # the subgraph keeps the chosen edge of each node of the valued player,
+    # who is player 0 when ``minimize``, and every edge of the opponent's
+    own_pred, opp_pred = gi.pred if minimize else gi.pred[::-1]
+    # None: unseen, False: on the DFS path, True: finished; the sink's
+    # value is fixed, so the DFS never enters it
+    state: list[bool | None] = [None] * len(gi.ids)
+    state[gi.sink] = True
+    post: list[int] = []
+    back: list[int] = []
+    # a pushed ~v finishes v once everything pushed after it is done
+    stack = list(roots)
     while stack:
-        w = stack.pop()
-        for v in pred[w]:
-            if not in_cone[v] and (succ_first[v] == w or w in succ_rest[v]):
-                in_cone[v] = True
-                stack.append(v)
-    return [v for v in gi.order if in_cone[v]]
+        v = stack.pop()
+        if v < 0:
+            v = ~v
+            state[v] = True
+            values[v] = init
+            post.append(v)
+        elif state[v] is None:
+            state[v] = False
+            stack.append(~v)
+            for u in own_pred[v]:
+                if succ_first[u] == v:
+                    seen = state[u]
+                    if seen is None:
+                        stack.append(u)
+                    elif seen is False:
+                        back.append(u)
+            for u in opp_pred[v]:
+                seen = state[u]
+                if seen is None:
+                    stack.append(u)
+                elif seen is False:
+                    back.append(u)
+    post.reverse()
+    return post, back
 
 
 def solve_values(
@@ -265,40 +313,83 @@ def solve_values(
 ) -> list[int]:
     """Encoded valuation of a strategy subgraph; raises NotAdmissibleError.
 
-    Without ``prev`` every node starts from the sentinel: approaching the
-    fixpoint from that side stabilizes within |V| sweeps exactly when the
-    strategy is admissible, so the sweep budget doubles as the
-    admissibility decision. ``prev`` resumes from the fixpoint of the same
-    player's admissible strategy before the nodes ``switched`` changed
-    their choice: only their backward cone restarts from the sentinel.
-    The cone is never warm-started from its old codes: from there values
-    can creep around a cycle one lap per sweep, and the sweep budget would
-    no longer decide admissibility.
+    ``succ_first`` and ``succ_rest`` are the arrays of
+    :meth:`GameIndex.subgraph_arrays`; ``minimize`` says that the valued
+    player is player 0, whose opponent minimizes. Without ``prev`` every
+    node but the sink is relaxed (a cold start). ``prev`` resumes from the
+    fixpoint of the same player's admissible strategy before the nodes
+    ``switched`` changed their choice: only their backward cone is relaxed
+    again, while every other node keeps its exact code, since none of its
+    paths crosses a switch.
+
+    The relaxed nodes are taken in the order of :func:`successors_first`,
+    whose DFS starts at the sink's predecessors for a cold start and at the
+    switched nodes for a cone. When that DFS meets no back edge, one pass
+    in that order is the exact fixpoint: every value outside the relaxed
+    nodes is final and finite, every path from a relaxed node leaves them,
+    and each node is relaxed after its successors. Such a strategy is
+    admissible, and the pass needs no confirming sweep and no range check.
+
+    Otherwise the relaxed nodes, reset to the sentinel, are swept in that
+    order, except that a switched node on a cycle moves to the end, until a
+    sweep changes nothing, within |V| sweeps. In any order,
+    after k sweeps each value has taken in every walk of at most k edges
+    that leaves the relaxed nodes. Without a cycle that favours the
+    opponent, the opponent's best walk is a simple path, so the values
+    settle within |V| sweeps. With one, a settled sweep would be a fixpoint
+    along that cycle, which its nonzero weight rules out: a cycle's weight
+    is a sum of signed powers of the codec base with fewer than base/2 of
+    each. So the budget decides admissibility whatever the order. The same
+    holds for nodes without a path to the sink, which lead to a cycle
+    without one: a cold start that misses such a node fails at once, as
+    the sweeps would. The cone is never warm-started from its old codes:
+    from there values can creep around a cycle one lap per sweep, and the
+    budget would no longer decide it.
     """
-    budget = max(len(gi.ids), 2)
-    # gi.order holds every node but the sink, whose value stays 0
-    if prev is None:
-        values, order = [0] * len(gi.ids), gi.order
-    else:
-        values, order = list(prev), backward_cone(gi, succ_first, succ_rest, switched)
     init = gi.pos_init if minimize else gi.neg_init
-    for v in order:
-        values[v] = init
-    if not sweep_to_fixpoint(gi, order, succ_first, succ_rest, values, minimize, budget):
+    if prev is None:
+        sink = gi.sink
+        own_pred, opp_pred = gi.pred if minimize else gi.pred[::-1]
+        roots = [u for u in own_pred[sink] if succ_first[u] == sink] + opp_pred[sink]
+        values = [0] * len(gi.ids)
+        order, back = successors_first(gi, succ_first, minimize, roots, values, init)
+        if len(order) < len(gi.ids) - 1:
+            # the DFS missed a node without a path to the sink
+            raise NotAdmissibleError("valuation fixpoint did not stabilize")
+    else:
+        values = list(prev)
+        order, back = successors_first(gi, succ_first, minimize, switched, values, init)
+        if back:
+            # a switched node that closes a cycle comes first, ahead of the
+            # rest of the cycle; relaxed last, it reads their values of the
+            # same sweep
+            for v in set(switched).intersection(back):
+                order.remove(v)
+                order.append(v)
+    if not back:
+        sweep_to_fixpoint(gi, order, succ_first, succ_rest, values, minimize, 1)
+        return values
+    if not sweep_to_fixpoint(
+        gi, order, succ_first, succ_rest, values, minimize, max(len(gi.ids), 2)
+    ):
         raise NotAdmissibleError("valuation fixpoint did not stabilize")
-    # only the relaxed nodes can be out of range; the smallest index is the
-    # one an ascending scan of every node would name
+    # by the argument above settled values are in range; this guards the
+    # encoding. An out-of-range value would mark a node without a path to
+    # the sink, and every cone node leads to a switched node, which would
+    # then have none either. The smallest index is the one an ascending
+    # scan of every node would name.
     bound = gi.finite_bound
-    out = [v for v in order if not -bound < values[v] < bound]
-    if out:
-        raise NotAdmissibleError(
-            f"node {gi.ids[min(out)]} cannot reach the sink under this strategy"
-        )
+    for v in switched:
+        if not -bound < values[v] < bound:
+            out = [u for u in order if not -bound < values[u] < bound]
+            raise NotAdmissibleError(
+                f"node {gi.ids[min(out)]} cannot reach the sink under this strategy"
+            )
     return values
 
 
 def counter_choices(
-    gi: GameIndex, values: list[int], minimize: bool, nodes: tuple[int, ...]
+    gi: GameIndex, values: list[int], minimize: bool, nodes: Sequence[int]
 ) -> dict[int, int]:
     """Opponent-optimal successor per node (index-keyed), smallest node id
     on ties."""

@@ -234,6 +234,25 @@ class TestSolve:
         )
 
     @pytest.mark.parametrize(
+        "text, lineno",
+        [("0 1\n1\xa01\n", 2), ("0 1\x0c1 1", 1)],
+        ids=["no-break-space", "form-feed"],
+    )
+    def test_start_strategy_tokens_split_on_space_and_tab_only(self, tmp_path, capsys, text, lineno):
+        game_file, bad = tmp_path / "g.pg", tmp_path / "bad.txt"
+        game_file.write_text(write_pgsolver(gen_table1(1).game))
+        bad.write_bytes(text.encode())
+        code, out, err = run_cli(
+            capsys, "solve", "--algo", "si", "--game", str(game_file), "--sigma0", str(bad)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: --sigma0 file is invalid: strategy line {lineno} "
+            "must be '<node-id> <successor-id>'\n"
+        )
+
+    @pytest.mark.parametrize(
         "side, flag, player",
         [(["--player", "1"], "--sigma-out", 0), ([], "--tau-out", 1)],
     )

@@ -228,6 +228,12 @@ class TestWinningStrategies:
     @pytest.mark.parametrize("n", [50, 100, 200, 400])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_results_pass_the_independent_check(self, seed, n):
+        self._check(seed, n)
+
+    def test_a_1600_node_game_passes_the_independent_check(self):
+        self._check(1, 1600)
+
+    def _check(self, seed: int, n: int) -> None:
         owner, priority, successors = self._game(seed, n)
         game = ParityGame.from_columns(
             list(owner), list(owner.values()), list(priority.values()), [None] * n,

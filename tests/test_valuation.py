@@ -18,6 +18,7 @@ from sinkgames.playvalues import PlayValue, compare
 from sinkgames.reduction import reduce_game, trivial_strategies
 from sinkgames.rules import switch_all_rule
 from sinkgames.solvers import run_gssi, run_si, run_ssi, verify_optimal
+from sinkgames import valuation as valuation_module
 from sinkgames.valuation import (
     _INDEX_CACHE,
     NotAdmissibleError,
@@ -26,8 +27,10 @@ from sinkgames.valuation import (
     j_set,
     solve_values,
     strategy_codes,
+    successors_first,
     valuate,
 )
+from valuation_reference import ReferenceGame
 
 
 def pv(mapping):
@@ -446,3 +449,188 @@ class TestCodecBase:
                     assert value.is_finite
                     assert all(0 < c <= n for _, c in value.counts)
                     assert gi.codec.encode(value) == xi.codes[gi.index[v]]
+
+
+def _reference(game):
+    ids, owners, priorities, _, successors = game.columns()
+    index = {v: i for i, v in enumerate(ids)}
+    rows = [[index[w] for w in succs] for succs in successors]
+    return ReferenceGame(ids, owners, priorities, rows, index[game.sink])
+
+
+def _unpeeled(sub, nodes):
+    """The nodes of ``nodes`` that lead to a cycle of the subgraph ``sub``
+    restricted to them: peel nodes with no successor left inside until
+    none can be peeled. Empty exactly when there is no cycle."""
+    inside = set(nodes)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(inside):
+            if not any(w in inside for w in sub[v]):
+                inside.discard(v)
+                changed = True
+    return inside
+
+
+class TestReferenceEngine:
+    """The successor-first engine against ``valuation_reference``, a frozen
+    copy of the sink-BFS sweep that shares no code with ``sinkgames``: codes
+    or error messages must be identical, and the DFS must find the cone,
+    report back edges exactly when it has a cycle, and order acyclic cones
+    successors first."""
+
+    @staticmethod
+    def _games(rng):
+        """Small seeded sink games and reductions, plus reductions of
+        seeded 30-100-node games of the benchmark's shape, each with an
+        admissible strategy per player."""
+        games = _seeded_games(rng, 120)
+        for _ in range(16):
+            game, rmap = reduce_game(random_parity_game(rng, 30, 100))
+            games.append((game, trivial_strategies(game, rmap)))
+        return games
+
+    def test_cold_and_cone_restarts_match(self):
+        rng = random.Random(191)
+        seen = {"cold": 0, "cold error": 0, "acyclic": 0, "cyclic": 0, "error": 0}
+        for game, pair in self._games(rng):
+            gi = game_index(game)
+            ref = _reference(game)
+            for strategy in pair:
+                player = strategy.player
+                minimize = player == 0
+                own = gi.nodes0 if minimize else gi.nodes1
+                # random strategies, mostly inadmissible, from a cold start
+                for _ in range(4):
+                    choice = [None] * len(gi.ids)
+                    for v in own:
+                        choice[v] = rng.choice(gi.adj_unique[v])
+                    first, rest = gi.subgraph_arrays(choice, player)
+                    got = _codes_or_error(gi, first, rest, minimize)
+                    assert got == ref.codes(player, choice)
+                    seen["cold error" if isinstance(got, str) else "cold"] += 1
+                # chains of switches from the admissible strategy
+                choice = gi.strategy_array(strategy)
+                first, rest = gi.subgraph_arrays(choice, player)
+                prev = solve_values(gi, first, rest, minimize)
+                assert prev == ref.codes(player, choice)
+                movable = [v for v in own if len(gi.adj_unique[v]) > 1]
+                if not movable:
+                    continue
+                for _ in range(12):
+                    switched = rng.sample(movable, rng.randint(1, min(3, len(movable))))
+                    new_choice, new_first = list(choice), list(first)
+                    for v in switched:
+                        new_choice[v] = new_first[v] = rng.choice(gi.adj_unique[v])
+                    got = _codes_or_error(gi, new_first, rest, minimize, prev, switched)
+                    assert got == ref.codes(player, new_choice, prev, switched)
+                    sub = ref.subgraph(player, new_choice)
+                    cone = ref.cone(sub, switched)
+                    order, back = successors_first(gi, new_first, minimize, switched, list(prev), 0)
+                    cyclic = bool(back)
+                    assert set(order) == cone - {gi.sink}
+                    assert set(back) <= _unpeeled(sub, order)
+                    assert cyclic == bool(_unpeeled(sub, order))
+                    if isinstance(got, str):
+                        seen["error"] += 1
+                        continue
+                    seen["cyclic" if cyclic else "acyclic"] += 1
+                    if not cyclic:
+                        position = {v: i for i, v in enumerate(order)}
+                        assert all(
+                            position.get(w, -1) < i for i, v in enumerate(order) for w in sub[v]
+                        )
+                    choice, first, prev = new_choice, new_first, got
+        assert seen["cold"] > 400
+        assert seen["cold error"] > 400
+        assert seen["acyclic"] > 1500
+        assert seen["cyclic"] > 400
+        assert seen["error"] > 400
+
+    def test_bad_cycle_in_a_later_scc(self):
+        # switching 1 to 2 and 3 to 4 leaves the cone {1} <- {3, 4}: the
+        # first SCC is harmless, while 4 can keep the pebble on 3 -> 4 -> 3,
+        # whose top priority 7 is odd
+        game = ParityGame(
+            [NodeRecord(0, 0, 0, None), NodeRecord(1, 0, 2, None), NodeRecord(2, 1, 4, None),
+             NodeRecord(3, 0, 6, None), NodeRecord(4, 1, 7, None)],
+            {0: (0,), 1: (0, 2), 2: (0,), 3: (1, 4), 4: (3, 1)},
+            sink=0,
+        )
+        gi, prev = strategy_codes(game, Strategy(0, {0: 0, 1: 0, 3: 1}))
+        choice = [0, 2, None, 4, None]
+        first, rest = gi.subgraph_arrays(choice, 0)
+        order, back = successors_first(gi, first, True, [1, 3], list(prev), 0)
+        assert order[0] == 1 and set(order) == {1, 3, 4} and set(back) <= {3, 4}
+        expected = _reference(game).codes(0, choice, prev, [1, 3])
+        assert expected == "valuation fixpoint did not stabilize"
+        assert _codes_or_error(gi, first, rest, True, prev, [1, 3]) == expected
+        assert _codes_or_error(gi, first, rest, True) == _reference(game).codes(0, choice)
+
+    def test_nodes_that_cannot_reach_the_sink(self):
+        # 2 -> 3 -> 2 tops at the even priority 6, which player 0 wins, but
+        # it never reaches the sink: cold, and after switching 1 into it
+        game = ParityGame(
+            [NodeRecord(0, 0, 0, None), NodeRecord(1, 0, 1, None), NodeRecord(2, 0, 6, None),
+             NodeRecord(3, 0, 3, None)],
+            {0: (0,), 1: (0, 2), 2: (0, 3), 3: (2,)},
+            sink=0,
+        )
+        ref = _reference(game)
+        gi, prev = strategy_codes(game, Strategy(0, {0: 0, 1: 0, 2: 0, 3: 2}))
+        for choice, switched in (([0, 2, 3, 2], [1, 2]), ([0, 0, 3, 2], [2])):
+            first, rest = gi.subgraph_arrays(choice, 0)
+            for args in ((), (prev, switched)):
+                expected = ref.codes(0, choice, *args)
+                assert isinstance(expected, str)
+                assert _codes_or_error(gi, first, rest, True, *args) == expected
+
+    def test_ids_with_gaps_valuate_like_their_relabelling(self):
+        # ids 0..n-1 index themselves; any other ids go through the index map
+        rng = random.Random(197)
+        for _ in range(10):
+            game, rmap = reduce_game(random_parity_game(rng, 10, 30))
+            relabel = {v: 3 * v + 5 for v in game.node_ids}
+            ids, owners, priorities, labels, successors = game.columns()
+            gapped = ParityGame.from_columns(
+                [relabel[v] for v in ids], owners, priorities, labels,
+                [[relabel[w] for w in succs] for succs in successors], relabel[game.sink],
+            )
+            for strategy in trivial_strategies(game, rmap):
+                moved = Strategy(
+                    strategy.player, {relabel[v]: relabel[w] for v, w in strategy.choice.items()}
+                )
+                assert valuate(gapped, moved).codes == valuate(game, strategy).codes
+                assert game_index(gapped).sink_dist == game_index(game).sink_dist
+
+    def test_acyclic_cone_takes_one_pass(self, monkeypatch):
+        game, rmap = reduce_game(random_parity_game(random.Random(193), 40, 40))
+        sigma, tau = trivial_strategies(game, rmap)
+        gi = game_index(game)
+        ref = _reference(game)
+        sweeps = []
+        real = valuation_module.sweep_to_fixpoint
+
+        def counted(gi, order, *args):
+            sweeps.append((len(order), args[-1]))
+            return real(gi, order, *args)
+
+        monkeypatch.setattr(valuation_module, "sweep_to_fixpoint", counted)
+        for strategy in (sigma, tau):
+            choice = gi.strategy_array(strategy)
+            first, rest = gi.subgraph_arrays(choice, strategy.player)
+            minimize = strategy.player == 0
+            sweeps.clear()
+            cold = solve_values(gi, first, rest, minimize)
+            assert cold == ref.codes(strategy.player, choice)
+            # the trivial strategies exit at once: no cycle avoids the sink
+            assert sweeps == [(len(gi.ids) - 1, 1)]
+            v = next(v for v in (gi.nodes0 if minimize else gi.nodes1) if len(gi.adj_unique[v]) > 1)
+            choice[v] = first[v] = next(w for w in gi.adj_unique[v] if w != choice[v])
+            order, back = successors_first(gi, first, minimize, [v], list(cold), 0)
+            assert not back
+            sweeps.clear()
+            got = _codes_or_error(gi, first, rest, minimize, cold, [v])
+            assert got == ref.codes(strategy.player, choice, cold, [v])
+            assert sweeps == [(len(order), 1)]
