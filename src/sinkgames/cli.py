@@ -88,9 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, newline: str | None = None) -> str:
     try:
-        return Path(path).read_text()
+        with open(path, newline=newline) as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -173,7 +174,8 @@ def _resolve_solve_inputs(args: argparse.Namespace, needed: tuple[int, ...]):
     starts = [sigma0, tau0]
     for p, flag, path in ((PLAYER0, "--sigma0", args.sigma0), (PLAYER1, "--tau0", args.tau0)):
         if path:
-            text = _read_text(path)
+            # untranslated, so that the parser sees the file's own line ends
+            text = _read_text(path, newline="")
             try:
                 starts[p] = traces.parse_strategy_text(text, game)
             except ValueError as exc:

@@ -87,11 +87,8 @@ class GameIndex:
         self.codec = codec = ValueCodec(priorities, max_count=n + 2)
         # pred[p][w]: the nodes of player p with an edge to w
         pred = ([[] for _ in range(n)], [[] for _ in range(n)])
-        if ids and ids[-1] == n - 1:  # ids 0..n-1 are their own indexes
-            adj = successors
-        else:
-            to_index = index.__getitem__
-            adj = [tuple(map(to_index, succs)) for succs in successors]
+        to_index = index.__getitem__
+        adj = [tuple(map(to_index, succs)) for succs in successors]
         adj_unique = [tuple(dict.fromkeys(row)) for row in adj]
         for v, (who, row) in enumerate(zip(owners, adj_unique)):
             into = pred[who]
@@ -342,9 +339,10 @@ def solve_values(
     each. So the budget decides admissibility whatever the order. The same
     holds for nodes without a path to the sink, which lead to a cycle
     without one: a cold start that misses such a node fails at once, as
-    the sweeps would. The cone is never warm-started from its old codes:
-    from there values can creep around a cycle one lap per sweep, and the
-    budget would no longer decide it.
+    the sweeps would. Settled values are still checked to be in range, as
+    a guard of the encoding. The cone is never warm-started from its old
+    codes: from there values can creep around a cycle one lap per sweep,
+    and the budget would no longer decide it.
     """
     init = gi.pos_init if minimize else gi.neg_init
     if prev is None:
@@ -373,18 +371,16 @@ def solve_values(
         gi, order, succ_first, succ_rest, values, minimize, max(len(gi.ids), 2)
     ):
         raise NotAdmissibleError("valuation fixpoint did not stabilize")
-    # by the argument above settled values are in range; this guards the
-    # encoding. An out-of-range value would mark a node without a path to
-    # the sink, and every cone node leads to a switched node, which would
-    # then have none either. The smallest index is the one an ascending
-    # scan of every node would name.
+    # by the argument above settled values are in range, and so are the
+    # values of one acyclic pass; this guards the encoding. Only the swept
+    # nodes can be out of range, and the smallest index is the one an
+    # ascending scan of every node would name.
     bound = gi.finite_bound
-    for v in switched:
-        if not -bound < values[v] < bound:
-            out = [u for u in order if not -bound < values[u] < bound]
-            raise NotAdmissibleError(
-                f"node {gi.ids[min(out)]} cannot reach the sink under this strategy"
-            )
+    out = [v for v in order if not -bound < values[v] < bound]
+    if out:
+        raise NotAdmissibleError(
+            f"node {gi.ids[min(out)]} cannot reach the sink under this strategy"
+        )
     return values
 
 

@@ -76,6 +76,20 @@ class TestSolve:
         assert code == 0
         assert "iterations: 5" in out
 
+    def test_start_strategy_files_with_crlf_line_ends(self, tmp_path, capsys):
+        inst = gen_table1(2)
+        game_file, s_file, t_file = tmp_path / "g.pg", tmp_path / "s.txt", tmp_path / "t.txt"
+        game_file.write_text(write_pgsolver(inst.game))
+        s_file.write_bytes(traces.write_strategy_text(inst.sigma0).replace("\n", "\r\n").encode())
+        t_file.write_bytes(traces.write_strategy_text(inst.tau0).replace("\n", "\r\n").encode())
+        code, out, _ = run_cli(
+            capsys, "solve", "--algo", "ssi",
+            "--game", str(game_file),
+            "--sigma0", str(s_file), "--tau0", str(t_file),
+        )
+        assert code == 0
+        assert "iterations: 5" in out
+
     def test_trace_formats_agree(self, tmp_path, capsys):
         csv_file = tmp_path / "run.csv"
         json_file = tmp_path / "run.json"
@@ -235,8 +249,8 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "text, lineno",
-        [("0 1\n1\xa01\n", 2), ("0 1\x0c1 1", 1)],
-        ids=["no-break-space", "form-feed"],
+        [("0 1\n1\xa01\n", 2), ("0 1\x0c1 1", 1), ("0 1\r1 1", 1)],
+        ids=["no-break-space", "form-feed", "lone-carriage-return"],
     )
     def test_start_strategy_tokens_split_on_space_and_tab_only(self, tmp_path, capsys, text, lineno):
         game_file, bad = tmp_path / "g.pg", tmp_path / "bad.txt"

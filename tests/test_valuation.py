@@ -587,7 +587,7 @@ class TestReferenceEngine:
                 assert _codes_or_error(gi, first, rest, True, *args) == expected
 
     def test_ids_with_gaps_valuate_like_their_relabelling(self):
-        # ids 0..n-1 index themselves; any other ids go through the index map
+        # every id goes through the index map, so gaps change nothing
         rng = random.Random(197)
         for _ in range(10):
             game, rmap = reduce_game(random_parity_game(rng, 10, 30))
