@@ -52,11 +52,9 @@ from .families import (
 from .reduction import (
     ReductionMap,
     WinnerResult,
-    break_same_owner_cycles,
     extract_winners,
     reduce_game,
     solve_winners,
-    to_sink_game,
     trivial_strategies,
 )
 from .oracle import (

@@ -57,8 +57,7 @@ class GameIndex:
         "ids",
         "index",
         "owner0",
-        "adj",
-        "adj_unique",
+        "succ",
         "pred",
         "weight",
         "codec",
@@ -67,8 +66,6 @@ class GameIndex:
         "nodes0",
         "nodes1",
         "finite_bound",
-        "pos_init",
-        "neg_init",
     )
 
     def __init__(self, game: ParityGame):
@@ -80,33 +77,33 @@ class GameIndex:
         index = {v: i for i, v in enumerate(ids)}
         # A final value is a sum over a simple path, so every count is at
         # most n < base/2 = n + 4: integer order is play-value order, and a
-        # cycle's sign is its top priority's. A value on the sentinel side
-        # has taken at most n * budget <= n^2 weights of at most
-        # base^(P-1) each (P priorities), and 4*base^2 - n^2 > 2*base keeps
-        # it beyond finite_bound.
+        # cycle's sign is its top priority's. Relaxed nodes start from the
+        # sentinel codes +-base^(P+1) (P priorities). A value on the
+        # sentinel side has taken at most n * max(n, 2) weights of at most
+        # base^(P-1) each, and base = 2n + 8 gives
+        # base^2 - n * max(n, 2) > 2 * base, which keeps it beyond
+        # finite_bound.
         self.codec = codec = ValueCodec(priorities, max_count=n + 2)
         # pred[p][w]: the nodes of player p with an edge to w
         pred = ([[] for _ in range(n)], [[] for _ in range(n)])
         to_index = index.__getitem__
-        adj = [tuple(map(to_index, succs)) for succs in successors]
-        adj_unique = [tuple(dict.fromkeys(row)) for row in adj]
-        for v, (who, row) in enumerate(zip(owners, adj_unique)):
+        # duplicate edges change no minimum or maximum, so each successor
+        # is kept once, in declaration order
+        succ = [tuple(dict.fromkeys(map(to_index, row))) for row in successors]
+        for v, (who, row) in enumerate(zip(owners, succ)):
             into = pred[who]
             for w in row:
                 into[w].append(v)
         self.ids = ids
         self.index = index
         self.owner0 = [who == PLAYER0 for who in owners]
-        self.adj = adj
-        self.adj_unique = adj_unique
+        self.succ = succ
         self.pred = pred
         self.weight = [codec.weight(q) for q in priorities]
         self.sink = index[game.sink]
         self.nodes0 = tuple(v for v, who in enumerate(owners) if who == PLAYER0)
         self.nodes1 = tuple(v for v, who in enumerate(owners) if who != PLAYER0)
         self.finite_bound = 2 * codec.base ** len(codec.priorities)
-        self.pos_init = 4 * codec.base ** (len(codec.priorities) + 1)
-        self.neg_init = -self.pos_init
         self._sink_dist: list[int] | None = None
 
     @property
@@ -142,9 +139,9 @@ class GameIndex:
                 assert choice is not None
                 first[v] = choice
             else:
-                succs = self.adj[v]
-                first[v] = succs[0]
-                rest[v] = succs[1:]
+                row = self.succ[v]
+                first[v] = row[0]
+                rest[v] = row[1:]
         return first, rest
 
     def strategy_array(self, strategy: Strategy) -> list[int | None]:
@@ -160,18 +157,27 @@ class Valuation:
     witnesses them.
 
     The values are held encoded: ``codes[i]`` belongs to node ``gi.ids[i]``
-    under ``gi.codec``. ``values`` decodes them all when it is first read.
+    under ``gi.codec``. ``values`` decodes them all, and ``counter`` finds
+    the response, when each is first read.
     """
 
     player: int
     codes: tuple[int, ...]
-    counter: Strategy
     gi: GameIndex = field(repr=False, compare=False)
 
     @cached_property
     def values(self) -> dict[int, PlayValue]:
         decode = self.gi.codec.decode
         return {v: decode(code) for v, code in zip(self.gi.ids, self.codes)}
+
+    @cached_property
+    def counter(self) -> Strategy:
+        """The opponent's tie-break-deterministic best response."""
+        gi = self.gi
+        minimize = self.player == PLAYER0
+        opponent_nodes = gi.nodes1 if minimize else gi.nodes0
+        choice = counter_choices(gi, self.codes, minimize, opponent_nodes)
+        return Strategy(1 - self.player, {gi.ids[v]: gi.ids[w] for v, w in choice.items()})
 
     def count(self, v: int, priority: int) -> int:
         """How often ``priority`` occurs in node ``v``'s value, read off its
@@ -344,7 +350,7 @@ def solve_values(
     codes: from there values can creep around a cycle one lap per sweep,
     and the budget would no longer decide it.
     """
-    init = gi.pos_init if minimize else gi.neg_init
+    init = gi.codec.pos_code if minimize else gi.codec.neg_code
     if prev is None:
         sink = gi.sink
         own_pred, opp_pred = gi.pred if minimize else gi.pred[::-1]
@@ -385,7 +391,7 @@ def solve_values(
 
 
 def counter_choices(
-    gi: GameIndex, values: list[int], minimize: bool, nodes: Sequence[int]
+    gi: GameIndex, values: Sequence[int], minimize: bool, nodes: Sequence[int]
 ) -> dict[int, int]:
     """Opponent-optimal successor per node (index-keyed), smallest node id
     on ties."""
@@ -393,7 +399,7 @@ def counter_choices(
     for v in nodes:
         best = None
         best_x = 0
-        for w in gi.adj_unique[v]:
+        for w in gi.succ[v]:
             x = values[w]
             if (
                 best is None
@@ -408,13 +414,8 @@ def counter_choices(
 
 
 def valuation_from_codes(gi: GameIndex, values: list[int], player: int) -> Valuation:
-    """Wrap an encoded value array into a Valuation with its
-    tie-break-deterministic counterstrategy."""
-    minimize = player == PLAYER0
-    opponent_nodes = gi.nodes1 if minimize else gi.nodes0
-    counter_idx = counter_choices(gi, values, minimize, opponent_nodes)
-    counter = Strategy(1 - player, {gi.ids[v]: gi.ids[w] for v, w in counter_idx.items()})
-    return Valuation(player, tuple(values), counter, gi)
+    """Wrap an encoded value array into a Valuation."""
+    return Valuation(player, tuple(values), gi)
 
 
 def strategy_codes(game: ParityGame, strategy: Strategy) -> tuple[GameIndex, list[int]]:
@@ -456,18 +457,18 @@ def improving_edges(
 ) -> list[tuple[int, int]]:
     """The strict-improvement set I as index edges: moves of ``player``
     whose target beats the current choice under the player's own codes."""
-    adj = gi.adj_unique
+    succ = gi.succ
     out = []
     if player == PLAYER0:
         for v in gi.nodes0:
             current = codes[strat[v]]
-            for w in adj[v]:
+            for w in succ[v]:
                 if codes[w] > current:
                     out.append((v, w))
     else:
         for v in gi.nodes1:
             current = codes[strat[v]]
-            for w in adj[v]:
+            for w in succ[v]:
                 if codes[w] < current:
                     out.append((v, w))
     return out
@@ -511,5 +512,5 @@ def j_set(
     gi = game_index(game)
     strat = gi.strategy_array(strategy)
     nodes = gi.nodes0 if strategy.player == PLAYER0 else gi.nodes1
-    edges = [(v, w) for v in nodes for w in gi.adj_unique[v]]
+    edges = [(v, w) for v in nodes for w in gi.succ[v]]
     return _id_edges(gi, weak_edges(edges, strat, xi_opponent.codes, strategy.player))

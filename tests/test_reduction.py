@@ -18,16 +18,14 @@ from sinkgames import reduction
 from sinkgames.oracle import brute_force_winners, walk_winner, all_strategies
 from sinkgames.pgsolver import parse_pgsolver, write_pgsolver
 from sinkgames.reduction import (
-    break_same_owner_cycles,
     extract_winners,
     reduce_game,
     solve_winners,
-    to_sink_game,
     trivial_strategies,
 )
-from sinkgames.rules import switch_all_rule
-from sinkgames.solvers import SolveResult, IterationTrace, SolverInvariantError, run_si
+from sinkgames.solvers import SolverInvariantError
 from sinkgames.valuation import is_admissible
+from reduction_reference import two_step_reduction
 from winning_check import winning_problems
 
 
@@ -37,61 +35,60 @@ class TestBreakCycles:
             [NodeRecord(0, 1, 3, None), NodeRecord(1, 1, 5, None)],
             {0: (1,), 1: (0,)},
         )
-        broken, breakers = break_same_owner_cycles(game)
-        assert len(breakers) == 2
-        for x, (u, w) in breakers.items():
-            assert broken.owner(x) == PLAYER0
-            assert broken.successors(x) == (w,)
-            assert x in broken.successors(u)
-            assert broken.priority(x) < min(broken.priority(0), broken.priority(1))
+        reduced, rmap = reduce_game(game)
+        assert len(rmap.breakers) == 2
+        for x, (u, w) in rmap.breakers.items():
+            assert reduced.owner(x) == PLAYER0
+            # the original target, then the escape of a player 0 node
+            assert reduced.successors(x) == (w, rmap.sink)
+            assert x in reduced.successors(u)
+            assert reduced.priority(x) < min(reduced.priority(0), reduced.priority(1))
 
     def test_bipartite_game_unchanged(self):
         game = ParityGame(
             [NodeRecord(0, 0, 2, None), NodeRecord(1, 1, 3, None)],
             {0: (1,), 1: (0,)},
         )
-        broken, breakers = break_same_owner_cycles(game)
-        assert breakers == {}
-        assert broken is game
+        reduced, rmap = reduce_game(game)
+        assert rmap.breakers == {}
+        escape = (rmap.sink, rmap.w)
+        for v in game.node_ids:
+            assert reduced.node(v) == game.node(v)
+            assert reduced.successors(v) == game.successors(v) + (escape[game.owner(v)],)
 
     def test_no_same_owner_cycles_remain(self):
         rng = random.Random(83)
         for _ in range(40):
             game = random_parity_game(rng)
-            broken, _ = break_same_owner_cycles(game)
-            for u in broken.node_ids:
-                for w in broken.successors(u):
-                    assert broken.owner(u) != broken.owner(w)
+            reduced, rmap = reduce_game(game)
+            for u in reduced.node_ids:
+                for w in reduced.successors(u):
+                    if w not in (rmap.sink, rmap.w):
+                        assert reduced.owner(u) != reduced.owner(w)
 
     def test_priorities_shifted_to_stay_nonnegative(self):
         game = ParityGame(
             [NodeRecord(0, 1, 0, None), NodeRecord(1, 1, 1, None)],
             {0: (1,), 1: (0,)},
         )
-        broken, _ = break_same_owner_cycles(game)
-        assert min(broken.priority(v) for v in broken.node_ids) >= 0
+        reduced, _ = reduce_game(game)
+        assert min(reduced.priority(v) for v in reduced.node_ids) >= 0
         # an even shift keeps every parity
-        assert broken.priority(0) % 2 == 0
-        assert broken.priority(1) % 2 == 1
+        assert reduced.priority(0) % 2 == 0
+        assert reduced.priority(1) % 2 == 1
 
 
 class TestToSinkGame:
-    def test_rejects_same_owner_cycles(self):
-        game = ParityGame(
-            [NodeRecord(0, 1, 3, None), NodeRecord(1, 1, 5, None)],
-            {0: (1,), 1: (0,)},
-        )
-        with pytest.raises(ValueError):
-            to_sink_game(game)
-
     def test_structure_and_trivial_strategies(self):
         rng = random.Random(89)
         for _ in range(25):
             game = random_parity_game(rng)
-            broken, breakers = break_same_owner_cycles(game)
-            reduced, rmap = to_sink_game(broken, breakers, original=game)
-            assert reduced.num_nodes == broken.num_nodes + 2
-            assert reduced.num_edges == broken.num_edges + broken.num_nodes + 2
+            reduced, rmap = reduce_game(game)
+            k = len(rmap.breakers)
+            assert reduced.num_nodes == game.num_nodes + k + 2
+            # a breaker adds an edge and an escape, an original node an
+            # escape, and the sink and w one edge each
+            assert reduced.num_edges == game.num_edges + 2 * k + game.num_nodes + 2
             assert validate_game(reduced, require_sink=True) == []
             assert reduced.priority(rmap.w) == rmap.pw
             assert rmap.pw % 2 == 0
@@ -119,11 +116,15 @@ def _decorated_game(rng: random.Random) -> ParityGame:
 
 class TestReduceGame:
     def test_equals_the_two_public_steps(self):
+        # the steps are frozen in reduction_reference, which shares no code
+        # with the library
         rng = random.Random(107)
         for _ in range(300):
             game = _decorated_game(rng)
-            expected = to_sink_game(*break_same_owner_cycles(game), original=game)
-            assert reduce_game(game) == expected
+            cols, breakers, sink, w, pw = two_step_reduction(*game.columns())
+            reduced, rmap = reduce_game(game)
+            assert (reduced.columns(), reduced.sink) == (cols, sink)
+            assert rmap == reduction.ReductionMap(frozenset(game.node_ids), breakers, w, sink, pw)
 
     def test_refuses_a_same_owner_edge_left_by_subdivision(self, monkeypatch):
         monkeypatch.setattr(reduction, "_subdivide", lambda cols: {})
@@ -158,17 +159,8 @@ class TestExtractWinners:
         game = ParityGame([NodeRecord(0, 0, 2, None)], {0: (0,)})
         reduced, rmap = reduce_game(game)
         sigma0, tau0 = trivial_strategies(reduced, rmap)
-        fake = SolveResult(sigma0, tau0, None, None, 0, IterationTrace(()))
         with pytest.raises(SolverInvariantError):
-            extract_winners(reduced, rmap, fake)
-
-    def test_requires_both_strategies(self):
-        game = ParityGame([NodeRecord(0, 0, 2, None)], {0: (0,)})
-        reduced, rmap = reduce_game(game)
-        sigma0, _ = trivial_strategies(reduced, rmap)
-        result = run_si(reduced, sigma0, switch_all_rule())
-        with pytest.raises(ValueError):
-            extract_winners(reduced, rmap, result)
+            extract_winners(reduced, rmap, sigma0, tau0)
 
     def test_matches_brute_force_on_random_games(self):
         rng = random.Random(97)

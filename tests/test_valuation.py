@@ -386,14 +386,14 @@ class TestIncrementalRevaluation:
                 first, rest = gi.subgraph_arrays(strat, strategy.player)
                 prev = solve_values(gi, first, rest, minimize)
                 own = gi.nodes0 if minimize else gi.nodes1
-                movable = [v for v in own if len(gi.adj_unique[v]) > 1]
+                movable = [v for v in own if len(gi.succ[v]) > 1]
                 if not movable:
                     continue
                 for _ in range(8):
                     switched = rng.sample(movable, rng.randint(1, min(3, len(movable))))
                     new_first = list(first)
                     for v in switched:
-                        new_first[v] = rng.choice(gi.adj_unique[v])
+                        new_first[v] = rng.choice(gi.succ[v])
                     got = _codes_or_error(gi, new_first, rest, minimize, prev, switched)
                     assert got == _codes_or_error(gi, new_first, rest, minimize)
                     if isinstance(got, str):
@@ -505,7 +505,7 @@ class TestReferenceEngine:
                 for _ in range(4):
                     choice = [None] * len(gi.ids)
                     for v in own:
-                        choice[v] = rng.choice(gi.adj_unique[v])
+                        choice[v] = rng.choice(gi.succ[v])
                     first, rest = gi.subgraph_arrays(choice, player)
                     got = _codes_or_error(gi, first, rest, minimize)
                     assert got == ref.codes(player, choice)
@@ -515,14 +515,14 @@ class TestReferenceEngine:
                 first, rest = gi.subgraph_arrays(choice, player)
                 prev = solve_values(gi, first, rest, minimize)
                 assert prev == ref.codes(player, choice)
-                movable = [v for v in own if len(gi.adj_unique[v]) > 1]
+                movable = [v for v in own if len(gi.succ[v]) > 1]
                 if not movable:
                     continue
                 for _ in range(12):
                     switched = rng.sample(movable, rng.randint(1, min(3, len(movable))))
                     new_choice, new_first = list(choice), list(first)
                     for v in switched:
-                        new_choice[v] = new_first[v] = rng.choice(gi.adj_unique[v])
+                        new_choice[v] = new_first[v] = rng.choice(gi.succ[v])
                     got = _codes_or_error(gi, new_first, rest, minimize, prev, switched)
                     assert got == ref.codes(player, new_choice, prev, switched)
                     sub = ref.subgraph(player, new_choice)
@@ -626,8 +626,8 @@ class TestReferenceEngine:
             assert cold == ref.codes(strategy.player, choice)
             # the trivial strategies exit at once: no cycle avoids the sink
             assert sweeps == [(len(gi.ids) - 1, 1)]
-            v = next(v for v in (gi.nodes0 if minimize else gi.nodes1) if len(gi.adj_unique[v]) > 1)
-            choice[v] = first[v] = next(w for w in gi.adj_unique[v] if w != choice[v])
+            v = next(v for v in (gi.nodes0 if minimize else gi.nodes1) if len(gi.succ[v]) > 1)
+            choice[v] = first[v] = next(w for w in gi.succ[v] if w != choice[v])
             order, back = successors_first(gi, first, minimize, [v], list(cold), 0)
             assert not back
             sweeps.clear()
