@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Callable
 
-from .game import PLAYER0, PLAYER1
 from .valuation import GameIndex
 
 Edge = tuple[int, int]
@@ -22,16 +21,17 @@ Edge = tuple[int, int]
 class RuleContext:
     """What a rule may ask about the current iteration, answered from each
     player's encoded valuation (``Valuation.codes`` or a solver's value
-    array) over ``gi``; a player without one is ``None``."""
+    array) over ``gi``; a player without one is ``None``. Player 1's codes
+    are negated, so each player prefers higher codes."""
 
     __slots__ = ("gi", "codes_by_owner")
 
     def __init__(self, gi: GameIndex, codes0: Sequence[int] | None, codes1: Sequence[int] | None):
         self.gi = gi
-        self.codes_by_owner = (codes0, codes1)  # indexed by PLAYER0/PLAYER1
+        self.codes_by_owner = (codes0, codes1)  # indexed by player
 
     def owner(self, v: int) -> int:
-        return PLAYER0 if self.gi.owner0[self.gi.index[v]] else PLAYER1
+        return self.gi.owner[self.gi.index[v]]
 
     def prefers(self, owner: int, a: int, b: int) -> bool:
         """Strictly better target ``a`` over ``b`` for ``owner``'s nodes,
@@ -39,8 +39,7 @@ class RuleContext:
         codes = self.codes_by_owner[owner]
         if codes is None:
             raise ValueError(f"no valuation available for player {owner}")
-        xa, xb = codes[self.gi.index[a]], codes[self.gi.index[b]]
-        return xa > xb if owner == PLAYER0 else xa < xb
+        return codes[self.gi.index[a]] > codes[self.gi.index[b]]
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,15 @@ choice, and repeat until no candidate remains:
   under the opponent's valuation instead of the counterstrategy edges.
 
 One loop serves all three. It keeps each piece of per-player state (the
-strategy, its subgraph arrays, its codes, the nodes switched since its last
-valuation, its improving edges) in a two-slot list indexed by
-``PLAYER0``/``PLAYER1`` and runs each step once per player that has a start
-strategy: one in single-player improvement, both otherwise. The cache of
-counterstrategy choices is crossed: ``counter[q]`` holds the opponent's best
-response to player ``q``'s codes, is emptied when ``q`` is revalued, and
-filters the edges of player ``1 - q``.
+subgraph arrays, whose ``first`` row is also the strategy, its codes, the
+nodes switched since its last valuation, its improving edges) in a
+two-slot list indexed by ``PLAYER0``/``PLAYER1`` and runs each step once
+per player that has a start strategy: one in single-player improvement,
+both otherwise. Each player's codes are that player's gain (see
+:mod:`sinkgames.valuation`), so no step branches on which player it
+serves. The cache of counterstrategy choices is crossed: ``counter[q]``
+holds the opponent's best response to player ``q``'s codes, is emptied
+when ``q`` is revalued, and filters the edges of player ``1 - q``.
 
 The loops rewire both strategies simultaneously from one chosen set per
 iteration. A player is revalued when it has never been valued or has
@@ -92,8 +94,8 @@ class OptimalityCertificate:
     improving_sigma: frozenset[Edge]
     improving_tau: frozenset[Edge]
     mismatched_nodes: tuple[int, ...]
-    # player 0's valuation the check ran on; on an optimal pair it is also
-    # player 1's, node for node
+    # player 0's valuation the check ran on; on an optimal pair player 1's
+    # codes are its codes negated, node for node
     xi_sigma: Valuation = field(repr=False, compare=False)
 
     def describe(self) -> str:
@@ -132,8 +134,8 @@ def _run_loop(
     players = tuple(p for p in (PLAYER0, PLAYER1) if starts[p] is not None)
 
     # per-player state, indexed by PLAYER0/PLAYER1; the slots of a player
-    # without a start strategy stay unused
-    strategy: list[list[int | None] | None] = [None, None]
+    # without a start strategy stay unused. first[p][v] is p's choice at
+    # each node v of p.
     first: list[list[int] | None] = [None, None]
     rest: list[list[tuple[int, ...]] | None] = [None, None]
     codes: list[list[int] | None] = [None, None]
@@ -145,8 +147,7 @@ def _run_loop(
     # sources asked for so far; it filters the edges of player 1 - q
     counter: list[dict[int, int]] = [{}, {}]
     for p in players:
-        strategy[p] = gi.strategy_array(starts[p])
-        first[p], rest[p] = gi.subgraph_arrays(strategy[p], p)
+        first[p], rest[p] = gi.subgraph_arrays(gi.strategy_array(starts[p]), p)
 
     records: list[IterationRecord] = []
     switching = 0
@@ -160,9 +161,9 @@ def _run_loop(
 
         for p in players:
             if codes[p] is None or switched[p]:
-                codes[p] = solve_values(gi, first[p], rest[p], p == PLAYER0, codes[p], switched[p])
+                codes[p] = solve_values(gi, first[p], rest[p], p, codes[p], switched[p])
                 switched[p] = []
-                improving[p] = improving_edges(gi, strategy[p], codes[p], p)
+                improving[p] = improving_edges(gi, first[p], codes[p], p)
                 counter[p] = {}
         candidates: list[tuple[int, int]] = []
         for p in players:
@@ -174,10 +175,10 @@ def _run_loop(
                 # a source with several improving edges may be listed twice
                 missing = [v for v, _ in improving[p] if v not in best]
                 if missing:
-                    best.update(counter_choices(gi, codes[q], q == PLAYER0, missing))
+                    best.update(counter_choices(gi, codes[q], missing))
                 candidates += [e for e in improving[p] if best[e[0]] == e[1]]
             else:  # GSSI
-                candidates += weak_edges(improving[p], strategy[p], codes[q], p)
+                candidates += weak_edges(improving[p], first[p], codes[q])
 
         sizes = (len(improving[PLAYER0]), len(improving[PLAYER1]))
         if not candidates:
@@ -201,8 +202,8 @@ def _run_loop(
                 raise SolverInvariantError(f"rule chose two edges out of node {v_id}")
             sources_seen.add(v_id)
             v, w = index[v_id], index[w_id]
-            p = PLAYER0 if gi.owner0[v] else PLAYER1
-            strategy[p][v] = first[p][v] = w
+            p = gi.owner[v]
+            first[p][v] = w
             switched[p].append(v)
             switches.append((p, v_id, w_id))
         records.append(IterationRecord(passes, tuple(switches), *sizes, len(candidates)))
@@ -211,7 +212,7 @@ def _run_loop(
     final: list[Strategy | None] = [None, None]
     xi: list[Valuation | None] = [None, None]
     for p in players:
-        final[p] = Strategy(p, {ids[v]: ids[w] for v, w in enumerate(strategy[p]) if w is not None})
+        final[p] = Strategy(p, {ids[v]: ids[first[p][v]] for v in gi.nodes[p]})
         xi[p] = valuation_from_codes(gi, codes[p], p)
     trace = IterationTrace(tuple(records))
     return SolveResult(final[PLAYER0], final[PLAYER1], xi[PLAYER0], xi[PLAYER1], switching, trace)
@@ -253,9 +254,10 @@ def verify_optimal(game: ParityGame, sigma: Strategy, tau: Strategy) -> Optimali
     xi_tau = valuate(game, tau)
     imp_sigma = improving_moves(game, sigma, xi_sigma)
     imp_tau = improving_moves(game, tau, xi_tau)
-    # both valuations share the game's codec, so equal codes mean equal values
+    # both valuations share the game's codec and player 1's codes are
+    # negated, so equal values have codes that sum to 0
     mismatched = tuple(
-        v for v, a, b in zip(game.node_ids, xi_sigma.codes, xi_tau.codes) if a != b
+        v for v, a, b in zip(game.node_ids, xi_sigma.codes, xi_tau.codes) if a + b != 0
     )
     ok = not imp_sigma and not imp_tau and not mismatched
     return OptimalityCertificate(ok, imp_sigma, imp_tau, mismatched, xi_sigma)

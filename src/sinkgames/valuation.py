@@ -8,10 +8,13 @@ opponent-optimal successor value.
 
 The fixpoint runs on integer-encoded play values (see
 :class:`sinkgames.playvalues.ValueCodec`) so that relaxation is plain
-integer arithmetic. Values stay encoded inside the library: the candidate
-sets I and J are computed on the code arrays, and a :class:`Valuation`
-decodes its play values only when they are read. Any relaxation schedule
-reaches the same fixpoint, which is what makes runs reproducible.
+integer arithmetic. Each valuation's codes are the valued player's gain:
+player 1's weights are player 0's negated, so either player prefers higher
+codes and the opponent always takes the least. Values stay encoded inside
+the library: the candidate sets I and J are computed on the code arrays,
+and a :class:`Valuation` decodes its play values only when they are read,
+undoing player 1's sign. Any relaxation schedule reaches the same fixpoint,
+which is what makes runs reproducible.
 
 The improvement loops revalue a strategy incrementally: after a switch only
 the backward cone of the switched nodes (the nodes with a path to one of
@@ -36,7 +39,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .game import PLAYER0, ParityGame, Strategy, check_strategy
+from .game import PLAYER0, PLAYER1, ParityGame, Strategy, check_strategy
 from .playvalues import PlayValue, ValueCodec
 
 
@@ -56,15 +59,14 @@ class GameIndex:
     __slots__ = (
         "ids",
         "index",
-        "owner0",
+        "owner",
         "succ",
         "pred",
         "weight",
         "codec",
         "sink",
         "_sink_dist",
-        "nodes0",
-        "nodes1",
+        "nodes",
         "finite_bound",
     )
 
@@ -78,17 +80,17 @@ class GameIndex:
         # A final value is a sum over a simple path, so every count is at
         # most n < base/2 = n + 4: integer order is play-value order, and a
         # cycle's sign is its top priority's. Relaxed nodes start from the
-        # sentinel codes +-base^(P+1) (P priorities). A value on the
-        # sentinel side has taken at most n * max(n, 2) weights of at most
-        # base^(P-1) each, and base = 2n + 8 gives
-        # base^2 - n * max(n, 2) > 2 * base, which keeps it beyond
-        # finite_bound.
+        # sentinel code base^(P+1) (P priorities), the valued player's best
+        # value in that player's codes. A value on the sentinel side has
+        # taken at most n * max(n, 2) weights of at most base^(P-1) each,
+        # and base = 2n + 8 gives base^2 - n * max(n, 2) > 2 * base, which
+        # keeps it beyond finite_bound.
         self.codec = codec = ValueCodec(priorities, max_count=n + 2)
         # pred[p][w]: the nodes of player p with an edge to w
         pred = ([[] for _ in range(n)], [[] for _ in range(n)])
         to_index = index.__getitem__
-        # duplicate edges change no minimum or maximum, so each successor
-        # is kept once, in declaration order
+        # duplicate edges change no minimum, so each successor is kept
+        # once, in declaration order
         succ = [tuple(dict.fromkeys(map(to_index, row))) for row in successors]
         for v, (who, row) in enumerate(zip(owners, succ)):
             into = pred[who]
@@ -96,13 +98,18 @@ class GameIndex:
                 into[w].append(v)
         self.ids = ids
         self.index = index
-        self.owner0 = [who == PLAYER0 for who in owners]
+        # ints, though the game accepts bools: owners tag trace switches
+        self.owner = list(map(int, owners))
         self.succ = succ
         self.pred = pred
-        self.weight = [codec.weight(q) for q in priorities]
+        # weight[p]: each node's weight in player p's codes, the gain of p
+        weight = [codec.weight(q) for q in priorities]
+        self.weight = (weight, [-x for x in weight])
         self.sink = index[game.sink]
-        self.nodes0 = tuple(v for v, who in enumerate(owners) if who == PLAYER0)
-        self.nodes1 = tuple(v for v, who in enumerate(owners) if who != PLAYER0)
+        # nodes[p]: the nodes of player p
+        self.nodes = tuple(
+            tuple(v for v, who in enumerate(owners) if who == p) for p in (PLAYER0, PLAYER1)
+        )
         self.finite_bound = 2 * codec.base ** len(codec.priorities)
         self._sink_dist: list[int] | None = None
 
@@ -134,7 +141,7 @@ class GameIndex:
         first: list[int] = [0] * len(self.ids)
         rest: list[tuple[int, ...]] = [()] * len(self.ids)
         for v in range(len(self.ids)):
-            if self.owner0[v] == (player == PLAYER0):
+            if self.owner[v] == player:
                 choice = strat[v]
                 assert choice is not None
                 first[v] = choice
@@ -157,8 +164,9 @@ class Valuation:
     witnesses them.
 
     The values are held encoded: ``codes[i]`` belongs to node ``gi.ids[i]``
-    under ``gi.codec``. ``values`` decodes them all, and ``counter`` finds
-    the response, when each is first read.
+    under ``gi.codec``, negated for player 1, so that higher codes are
+    better for ``player`` whichever player it is. ``values`` decodes them
+    all, and ``counter`` finds the response, when each is first read.
     """
 
     player: int
@@ -168,21 +176,21 @@ class Valuation:
     @cached_property
     def values(self) -> dict[int, PlayValue]:
         decode = self.gi.codec.decode
-        return {v: decode(code) for v, code in zip(self.gi.ids, self.codes)}
+        sign = 1 if self.player == PLAYER0 else -1
+        return {v: decode(sign * code) for v, code in zip(self.gi.ids, self.codes)}
 
     @cached_property
     def counter(self) -> Strategy:
         """The opponent's tie-break-deterministic best response."""
         gi = self.gi
-        minimize = self.player == PLAYER0
-        opponent_nodes = gi.nodes1 if minimize else gi.nodes0
-        choice = counter_choices(gi, self.codes, minimize, opponent_nodes)
+        choice = counter_choices(gi, self.codes, gi.nodes[1 - self.player])
         return Strategy(1 - self.player, {gi.ids[v]: gi.ids[w] for v, w in choice.items()})
 
     def count(self, v: int, priority: int) -> int:
         """How often ``priority`` occurs in node ``v``'s value, read off its
         code without decoding it."""
-        return self.gi.codec.digit(self.codes[self.gi.index[v]], priority)
+        code = self.codes[self.gi.index[v]]
+        return self.gi.codec.digit(code if self.player == PLAYER0 else -code, priority)
 
 
 # identity-keyed: games are value-comparable but the index binds to one
@@ -202,61 +210,43 @@ def game_index(game: ParityGame) -> GameIndex:
 
 
 def sweep_to_fixpoint(
-    gi: GameIndex,
+    weight: Sequence[int],
     order: Sequence[int],
     succ_first: list[int],
     succ_rest: list[tuple[int, ...]],
     values: list[int],
-    minimize: bool,
     max_sweeps: int,
 ) -> bool:
     """Relax the nodes of ``order``, in that order, in place until a full
-    sweep changes nothing.
+    sweep changes nothing: each node takes its ``weight`` plus the least
+    value among its successors.
 
     Returns False when ``max_sweeps`` full sweeps did not stabilize, which
     for a start from the sentinel means the strategy is not admissible.
     """
-    weight = gi.weight
-    if minimize:
-        for _ in range(max_sweeps):
-            changed = False
-            for v in order:
-                m = values[succ_first[v]]
-                for w in succ_rest[v]:
-                    x = values[w]
-                    if x < m:
-                        m = x
-                nv = weight[v] + m
-                if nv != values[v]:
-                    values[v] = nv
-                    changed = True
-            if not changed:
-                return True
-    else:
-        for _ in range(max_sweeps):
-            changed = False
-            for v in order:
-                m = values[succ_first[v]]
-                for w in succ_rest[v]:
-                    x = values[w]
-                    if x > m:
-                        m = x
-                nv = weight[v] + m
-                if nv != values[v]:
-                    values[v] = nv
-                    changed = True
-            if not changed:
-                return True
+    for _ in range(max_sweeps):
+        changed = False
+        for v in order:
+            m = values[succ_first[v]]
+            for w in succ_rest[v]:
+                x = values[w]
+                if x < m:
+                    m = x
+            nv = weight[v] + m
+            if nv != values[v]:
+                values[v] = nv
+                changed = True
+        if not changed:
+            return True
     return False
 
 
 def successors_first(
     gi: GameIndex,
     succ_first: list[int],
-    minimize: bool,
+    player: int,
     roots: Sequence[int],
     values: list[int],
-    init: int,
 ) -> tuple[list[int], list[int]]:
     """The nodes with a path to a node of ``roots`` in the strategy
     subgraph, the roots included and the sink left out, in the reverse
@@ -266,11 +256,13 @@ def successors_first(
 
     In reverse postorder every node comes after its successors, except
     along a cycle, so each SCC follows the SCCs it reaches. Each node's
-    value is set to ``init`` when the DFS finishes it.
+    value is set to the sentinel ``gi.codec.pos_code`` when the DFS
+    finishes it.
     """
-    # the subgraph keeps the chosen edge of each node of the valued player,
-    # who is player 0 when ``minimize``, and every edge of the opponent's
-    own_pred, opp_pred = gi.pred if minimize else gi.pred[::-1]
+    # the subgraph keeps the chosen edge of each node of the valued player
+    # and every edge of the opponent's
+    own_pred, opp_pred = gi.pred[player], gi.pred[1 - player]
+    init = gi.codec.pos_code
     # None: unseen, False: on the DFS path, True: finished; the sink's
     # value is fixed, so the DFS never enters it
     state: list[bool | None] = [None] * len(gi.ids)
@@ -310,20 +302,21 @@ def solve_values(
     gi: GameIndex,
     succ_first: list[int],
     succ_rest: list[tuple[int, ...]],
-    minimize: bool,
+    player: int,
     prev: list[int] | None = None,
     switched: Sequence[int] = (),
 ) -> list[int]:
     """Encoded valuation of a strategy subgraph; raises NotAdmissibleError.
 
     ``succ_first`` and ``succ_rest`` are the arrays of
-    :meth:`GameIndex.subgraph_arrays`; ``minimize`` says that the valued
-    player is player 0, whose opponent minimizes. Without ``prev`` every
-    node but the sink is relaxed (a cold start). ``prev`` resumes from the
-    fixpoint of the same player's admissible strategy before the nodes
-    ``switched`` changed their choice: only their backward cone is relaxed
-    again, while every other node keeps its exact code, since none of its
-    paths crosses a switch.
+    :meth:`GameIndex.subgraph_arrays` for a strategy of ``player``. The
+    codes are that player's gain, player 1's negated, so the opponent
+    takes the least successor code at its nodes whichever player is
+    valued. Without ``prev`` every node but the sink is relaxed (a cold
+    start). ``prev`` resumes from the fixpoint of the same player's
+    admissible strategy before the nodes ``switched`` changed their choice:
+    only their backward cone is relaxed again, while every other node keeps
+    its exact code, since none of its paths crosses a switch.
 
     The relaxed nodes are taken in the order of :func:`successors_first`,
     whose DFS starts at the sink's predecessors for a cold start and at the
@@ -350,19 +343,19 @@ def solve_values(
     codes: from there values can creep around a cycle one lap per sweep,
     and the budget would no longer decide it.
     """
-    init = gi.codec.pos_code if minimize else gi.codec.neg_code
+    weight = gi.weight[player]
     if prev is None:
         sink = gi.sink
-        own_pred, opp_pred = gi.pred if minimize else gi.pred[::-1]
-        roots = [u for u in own_pred[sink] if succ_first[u] == sink] + opp_pred[sink]
+        roots = [u for u in gi.pred[player][sink] if succ_first[u] == sink]
+        roots += gi.pred[1 - player][sink]
         values = [0] * len(gi.ids)
-        order, back = successors_first(gi, succ_first, minimize, roots, values, init)
+        order, back = successors_first(gi, succ_first, player, roots, values)
         if len(order) < len(gi.ids) - 1:
             # the DFS missed a node without a path to the sink
             raise NotAdmissibleError("valuation fixpoint did not stabilize")
     else:
         values = list(prev)
-        order, back = successors_first(gi, succ_first, minimize, switched, values, init)
+        order, back = successors_first(gi, succ_first, player, switched, values)
         if back:
             # a switched node that closes a cycle comes first, ahead of the
             # rest of the cycle; relaxed last, it reads their values of the
@@ -371,11 +364,9 @@ def solve_values(
                 order.remove(v)
                 order.append(v)
     if not back:
-        sweep_to_fixpoint(gi, order, succ_first, succ_rest, values, minimize, 1)
+        sweep_to_fixpoint(weight, order, succ_first, succ_rest, values, 1)
         return values
-    if not sweep_to_fixpoint(
-        gi, order, succ_first, succ_rest, values, minimize, max(len(gi.ids), 2)
-    ):
+    if not sweep_to_fixpoint(weight, order, succ_first, succ_rest, values, max(len(gi.ids), 2)):
         raise NotAdmissibleError("valuation fixpoint did not stabilize")
     # by the argument above settled values are in range, and so are the
     # values of one acyclic pass; this guards the encoding. Only the swept
@@ -390,22 +381,16 @@ def solve_values(
     return values
 
 
-def counter_choices(
-    gi: GameIndex, values: Sequence[int], minimize: bool, nodes: Sequence[int]
-) -> dict[int, int]:
-    """Opponent-optimal successor per node (index-keyed), smallest node id
-    on ties."""
+def counter_choices(gi: GameIndex, values: Sequence[int], nodes: Sequence[int]) -> dict[int, int]:
+    """Opponent-optimal successor per node (index-keyed): the least code of
+    the valued player, smallest node id on ties."""
     out: dict[int, int] = {}
     for v in nodes:
         best = None
         best_x = 0
         for w in gi.succ[v]:
             x = values[w]
-            if (
-                best is None
-                or (x < best_x if minimize else x > best_x)
-                or (x == best_x and w < best)
-            ):
+            if best is None or x < best_x or (x == best_x and w < best):
                 best = w
                 best_x = x
         assert best is not None
@@ -424,7 +409,7 @@ def strategy_codes(game: ParityGame, strategy: Strategy) -> tuple[GameIndex, lis
     check_strategy(game, strategy)
     gi = game_index(game)
     succ_first, succ_rest = gi.subgraph_arrays(gi.strategy_array(strategy), strategy.player)
-    return gi, solve_values(gi, succ_first, succ_rest, strategy.player == PLAYER0)
+    return gi, solve_values(gi, succ_first, succ_rest, strategy.player)
 
 
 def valuate(game: ParityGame, strategy: Strategy) -> Valuation:
@@ -453,38 +438,28 @@ def is_admissible(game: ParityGame, strategy: Strategy) -> bool:
 
 
 def improving_edges(
-    gi: GameIndex, strat: list[int | None], codes: Sequence[int], player: int
+    gi: GameIndex, strat: Sequence[int | None], codes: Sequence[int], player: int
 ) -> list[tuple[int, int]]:
     """The strict-improvement set I as index edges: moves of ``player``
     whose target beats the current choice under the player's own codes."""
     succ = gi.succ
     out = []
-    if player == PLAYER0:
-        for v in gi.nodes0:
-            current = codes[strat[v]]
-            for w in succ[v]:
-                if codes[w] > current:
-                    out.append((v, w))
-    else:
-        for v in gi.nodes1:
-            current = codes[strat[v]]
-            for w in succ[v]:
-                if codes[w] < current:
-                    out.append((v, w))
+    for v in gi.nodes[player]:
+        current = codes[strat[v]]
+        for w in succ[v]:
+            if codes[w] > current:
+                out.append((v, w))
     return out
 
 
 def weak_edges(
     edges: list[tuple[int, int]],
-    strat: list[int | None],
+    strat: Sequence[int | None],
     opponent_codes: Sequence[int],
-    player: int,
 ) -> list[tuple[int, int]]:
-    """The index edges of ``edges`` in the weak set J: moves of ``player``
-    whose target is at least as good for the player as the current choice
-    under the opponent's codes."""
-    if player == PLAYER0:
-        return [(v, w) for v, w in edges if opponent_codes[w] >= opponent_codes[strat[v]]]
+    """The index edges of ``edges`` in the weak set J: moves whose target
+    gives the opponent, under its own codes, no more than the current
+    choice ``strat[v]`` does."""
     return [(v, w) for v, w in edges if opponent_codes[w] <= opponent_codes[strat[v]]]
 
 
@@ -511,6 +486,5 @@ def j_set(
     choices themselves."""
     gi = game_index(game)
     strat = gi.strategy_array(strategy)
-    nodes = gi.nodes0 if strategy.player == PLAYER0 else gi.nodes1
-    edges = [(v, w) for v in nodes for w in gi.succ[v]]
-    return _id_edges(gi, weak_edges(edges, strat, xi_opponent.codes, strategy.player))
+    edges = [(v, w) for v in gi.nodes[strategy.player] for w in gi.succ[v]]
+    return _id_edges(gi, weak_edges(edges, strat, xi_opponent.codes))

@@ -140,6 +140,20 @@ class TestTrace:
         for record in result.trace.iterations:
             assert len(record.switches) <= record.candidates
 
+    def test_owner_tags_are_ints_when_the_game_has_bool_owners(self):
+        # the game accepts False/True as owners; its trace must still read
+        # 0/1, as a trace file writes the tag as it is
+        game = ParityGame(
+            [NodeRecord(0, False, 0, None), NodeRecord(1, True, 1, None),
+             NodeRecord(2, False, 2, None)],
+            {0: (0,), 1: (0, 2), 2: (0, 1)},
+            sink=0,
+        )
+        result = run_si(game, Strategy(0, {0: 0, 2: 1}), switch_all_rule())
+        switches = result.trace.iterations[0].switches
+        assert switches == ((0, 2, 0),)
+        assert type(switches[0][0]) is int
+
 
 def _gapped_reduced_game(seed: int):
     """The reduction of a seeded random parity game whose ids are 2, 5, 8, ...,

@@ -24,6 +24,7 @@ from sinkgames.valuation import (
     NotAdmissibleError,
     game_index,
     improving_moves,
+    is_admissible,
     j_set,
     solve_values,
     strategy_codes,
@@ -371,6 +372,15 @@ def _codes_or_error(*args):
         return str(exc)
 
 
+def _gains(player, codes):
+    """Codes in player 0's terms as ``player``'s engine codes, which are
+    negated for player 1; the same map back, and an error message passes
+    through."""
+    if player == 0 or isinstance(codes, str):
+        return codes
+    return [-x for x in codes]
+
+
 class TestIncrementalRevaluation:
     def test_cone_restart_matches_cold_start(self):
         # chains of random switch sets, improving or not, some of which
@@ -381,12 +391,11 @@ class TestIncrementalRevaluation:
         for game, pair in _seeded_games(rng, 60):
             gi = game_index(game)
             for strategy in pair:
-                minimize = strategy.player == 0
+                player = strategy.player
                 strat = gi.strategy_array(strategy)
-                first, rest = gi.subgraph_arrays(strat, strategy.player)
-                prev = solve_values(gi, first, rest, minimize)
-                own = gi.nodes0 if minimize else gi.nodes1
-                movable = [v for v in own if len(gi.succ[v]) > 1]
+                first, rest = gi.subgraph_arrays(strat, player)
+                prev = solve_values(gi, first, rest, player)
+                movable = [v for v in gi.nodes[player] if len(gi.succ[v]) > 1]
                 if not movable:
                     continue
                 for _ in range(8):
@@ -394,8 +403,8 @@ class TestIncrementalRevaluation:
                     new_first = list(first)
                     for v in switched:
                         new_first[v] = rng.choice(gi.succ[v])
-                    got = _codes_or_error(gi, new_first, rest, minimize, prev, switched)
-                    assert got == _codes_or_error(gi, new_first, rest, minimize)
+                    got = _codes_or_error(gi, new_first, rest, player, prev, switched)
+                    assert got == _codes_or_error(gi, new_first, rest, player)
                     if isinstance(got, str):
                         outcomes["error"] += 1
                         continue
@@ -412,7 +421,7 @@ class TestIncrementalRevaluation:
         inst = gen_table1(4)
         gi, cold = strategy_codes(inst.game, inst.sigma0)
         first, rest = gi.subgraph_arrays(gi.strategy_array(inst.sigma0), 0)
-        assert solve_values(gi, first, rest, True, cold, ()) == cold
+        assert solve_values(gi, first, rest, 0, cold, ()) == cold
 
     def test_solver_runs_match_cold_valuations(self):
         # every pass of the loops revalues incrementally; the final
@@ -429,9 +438,10 @@ class TestIncrementalRevaluation:
 
 
 class TestCodecBase:
-    def test_base_is_sized_to_the_node_count(self):
-        # every final code, start and optimum alike, decodes to counts of
-        # at most n under the base 2(n+2)+4
+    @staticmethod
+    def _valuations():
+        """Games of both families and seeded sink games and reductions, each
+        with the start and final valuations of both players."""
         rng = random.Random(181)
         cases = []
         for gen, sizes in ((gen_table1, (1, 4, 9)), (gen_table2, (1, 3, 5))):
@@ -440,15 +450,31 @@ class TestCodecBase:
                 cases.append((inst.game, (inst.sigma0, inst.tau0)))
         cases += _seeded_games(rng, 30)
         for game, (sigma, tau) in cases:
+            result = run_ssi(game, sigma, tau, switch_all_rule())
+            yield game, (valuate(game, sigma), valuate(game, tau), result.xi_sigma, result.xi_tau)
+
+    def test_base_is_sized_to_the_node_count(self):
+        # every final code, start and optimum alike, decodes to counts of
+        # at most n under the base 2(n+2)+4
+        for game, valuations in self._valuations():
             n = game.num_nodes
             gi = game_index(game)
             assert gi.codec.base == 2 * (n + 2) + 4
-            result = run_ssi(game, sigma, tau, switch_all_rule())
-            for xi in (valuate(game, sigma), valuate(game, tau), result.xi_sigma, result.xi_tau):
+            for xi in valuations:
+                sign = 1 if xi.player == 0 else -1
                 for v, value in xi.values.items():
                     assert value.is_finite
                     assert all(0 < c <= n for _, c in value.counts)
-                    assert gi.codec.encode(value) == xi.codes[gi.index[v]]
+                    assert gi.codec.encode(value) == sign * xi.codes[gi.index[v]]
+
+    def test_count_matches_the_decoded_value(self):
+        # count reads one digit straight off a code, so it must undo player
+        # 1's sign on its own
+        for game, valuations in self._valuations():
+            priorities = game.priorities()
+            for xi in valuations:
+                for v in game.node_ids:
+                    assert all(xi.count(v, q) == xi.values[v].count(q) for q in priorities)
 
 
 def _reference(game):
@@ -499,22 +525,21 @@ class TestReferenceEngine:
             ref = _reference(game)
             for strategy in pair:
                 player = strategy.player
-                minimize = player == 0
-                own = gi.nodes0 if minimize else gi.nodes1
+                own = gi.nodes[player]
                 # random strategies, mostly inadmissible, from a cold start
                 for _ in range(4):
                     choice = [None] * len(gi.ids)
                     for v in own:
                         choice[v] = rng.choice(gi.succ[v])
                     first, rest = gi.subgraph_arrays(choice, player)
-                    got = _codes_or_error(gi, first, rest, minimize)
-                    assert got == ref.codes(player, choice)
+                    got = _codes_or_error(gi, first, rest, player)
+                    assert got == _gains(player, ref.codes(player, choice))
                     seen["cold error" if isinstance(got, str) else "cold"] += 1
                 # chains of switches from the admissible strategy
                 choice = gi.strategy_array(strategy)
                 first, rest = gi.subgraph_arrays(choice, player)
-                prev = solve_values(gi, first, rest, minimize)
-                assert prev == ref.codes(player, choice)
+                prev = solve_values(gi, first, rest, player)
+                assert prev == _gains(player, ref.codes(player, choice))
                 movable = [v for v in own if len(gi.succ[v]) > 1]
                 if not movable:
                     continue
@@ -523,11 +548,12 @@ class TestReferenceEngine:
                     new_choice, new_first = list(choice), list(first)
                     for v in switched:
                         new_choice[v] = new_first[v] = rng.choice(gi.succ[v])
-                    got = _codes_or_error(gi, new_first, rest, minimize, prev, switched)
-                    assert got == ref.codes(player, new_choice, prev, switched)
+                    got = _codes_or_error(gi, new_first, rest, player, prev, switched)
+                    expected = ref.codes(player, new_choice, _gains(player, prev), switched)
+                    assert got == _gains(player, expected)
                     sub = ref.subgraph(player, new_choice)
                     cone = ref.cone(sub, switched)
-                    order, back = successors_first(gi, new_first, minimize, switched, list(prev), 0)
+                    order, back = successors_first(gi, new_first, player, switched, list(prev))
                     cyclic = bool(back)
                     assert set(order) == cone - {gi.sink}
                     assert set(back) <= _unpeeled(sub, order)
@@ -561,12 +587,40 @@ class TestReferenceEngine:
         gi, prev = strategy_codes(game, Strategy(0, {0: 0, 1: 0, 3: 1}))
         choice = [0, 2, None, 4, None]
         first, rest = gi.subgraph_arrays(choice, 0)
-        order, back = successors_first(gi, first, True, [1, 3], list(prev), 0)
+        order, back = successors_first(gi, first, 0, [1, 3], list(prev))
         assert order[0] == 1 and set(order) == {1, 3, 4} and set(back) <= {3, 4}
         expected = _reference(game).codes(0, choice, prev, [1, 3])
         assert expected == "valuation fixpoint did not stabilize"
-        assert _codes_or_error(gi, first, rest, True, prev, [1, 3]) == expected
-        assert _codes_or_error(gi, first, rest, True) == _reference(game).codes(0, choice)
+        assert _codes_or_error(gi, first, rest, 0, prev, [1, 3]) == expected
+        assert _codes_or_error(gi, first, rest, 0) == _reference(game).codes(0, choice)
+
+    @pytest.mark.parametrize(
+        "player, owners, priorities, choice",
+        [
+            (0, (0, 1, 0, 0, 1), (0, 1, 2, 8, 8), {0: 0, 2: 1, 3: 4}),
+            (1, (0, 0, 1, 1, 0), (0, 2, 3, 9, 9), {2: 1, 3: 4}),
+        ],
+        ids=["player0", "player1"],
+    )
+    def test_sentinel_outlasts_an_exit_through_the_top_priority(
+        self, player, owners, priorities, choice
+    ):
+        # the opponent at 1 must leave the cycle 1 <-> 2, which the valued
+        # player wins, by the exit 3 -> 4 -> 0, which holds the top priority
+        # twice. The cycle starts at the sentinel, so the opponent takes the
+        # exit at once only when the sentinel lies beyond the exit's code;
+        # from a sentinel within the margin the cycle climbs towards the
+        # exit by its own small weight per lap and does not settle in |V|
+        # sweeps
+        game = ParityGame.from_columns(
+            [0, 1, 2, 3, 4], list(owners), list(priorities), [None] * 5,
+            [(0,), (2, 3), (1,), (4,), (0,)], 0,
+        )
+        strategy = Strategy(player, choice)
+        assert is_admissible(game, strategy)
+        gi = game_index(game)
+        expected = _reference(game).codes(player, gi.strategy_array(strategy))
+        assert valuate(game, strategy).codes == tuple(_gains(player, expected))
 
     def test_nodes_that_cannot_reach_the_sink(self):
         # 2 -> 3 -> 2 tops at the even priority 6, which player 0 wins, but
@@ -584,7 +638,7 @@ class TestReferenceEngine:
             for args in ((), (prev, switched)):
                 expected = ref.codes(0, choice, *args)
                 assert isinstance(expected, str)
-                assert _codes_or_error(gi, first, rest, True, *args) == expected
+                assert _codes_or_error(gi, first, rest, 0, *args) == expected
 
     def test_ids_with_gaps_valuate_like_their_relabelling(self):
         # every id goes through the index map, so gaps change nothing
@@ -612,25 +666,25 @@ class TestReferenceEngine:
         sweeps = []
         real = valuation_module.sweep_to_fixpoint
 
-        def counted(gi, order, *args):
+        def counted(weight, order, *args):
             sweeps.append((len(order), args[-1]))
-            return real(gi, order, *args)
+            return real(weight, order, *args)
 
         monkeypatch.setattr(valuation_module, "sweep_to_fixpoint", counted)
         for strategy in (sigma, tau):
             choice = gi.strategy_array(strategy)
-            first, rest = gi.subgraph_arrays(choice, strategy.player)
-            minimize = strategy.player == 0
+            player = strategy.player
+            first, rest = gi.subgraph_arrays(choice, player)
             sweeps.clear()
-            cold = solve_values(gi, first, rest, minimize)
-            assert cold == ref.codes(strategy.player, choice)
+            cold = solve_values(gi, first, rest, player)
+            assert cold == _gains(player, ref.codes(player, choice))
             # the trivial strategies exit at once: no cycle avoids the sink
             assert sweeps == [(len(gi.ids) - 1, 1)]
-            v = next(v for v in (gi.nodes0 if minimize else gi.nodes1) if len(gi.succ[v]) > 1)
+            v = next(v for v in gi.nodes[player] if len(gi.succ[v]) > 1)
             choice[v] = first[v] = next(w for w in gi.succ[v] if w != choice[v])
-            order, back = successors_first(gi, first, minimize, [v], list(cold), 0)
+            order, back = successors_first(gi, first, player, [v], list(cold))
             assert not back
             sweeps.clear()
-            got = _codes_or_error(gi, first, rest, minimize, cold, [v])
-            assert got == ref.codes(strategy.player, choice, cold, [v])
+            got = _codes_or_error(gi, first, rest, player, cold, [v])
+            assert got == _gains(player, ref.codes(player, choice, _gains(player, cold), [v]))
             assert sweeps == [(len(order), 1)]
