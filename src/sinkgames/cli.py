@@ -8,6 +8,7 @@ violations (a solver run that breaks its own guarantees).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -32,7 +33,17 @@ def _positive(value: str) -> int:
     return number
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it,
+    so that repeated ``main`` calls in one process parse with one parser.
+
+    Sharing is safe because ``parse_args`` returns a fresh namespace and
+    argparse looks up ``sys.stdout``, ``sys.stderr`` and the terminal width
+    only when it prints. Each subcommand's ``handler`` is bound when the
+    parser is built, so replacing a ``cmd_*`` function after the first
+    ``main`` call has no effect on later calls.
+    """
     parser = argparse.ArgumentParser(
         prog="sinkgames",
         description="Generate, solve, and reduce sink parity games; reproduce "
@@ -288,9 +299,10 @@ def cmd_iteration_table(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code. Repeated calls in one
+    process share the parser of :func:`build_parser`."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

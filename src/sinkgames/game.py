@@ -85,14 +85,20 @@ class ParityGame:
         """The one validation core: each check runs over a whole column, and
         a failed one rescans in node order to name the first offender."""
         owner = dict(zip(ids, owners))
-        if len(owner) < len(ids) or ids and min(ids) < 0 or not set(owners) <= {PLAYER0, PLAYER1}:
+        # True and 1.0 equal 1, so an owner's type is checked apart from its value
+        if (
+            len(owner) < len(ids)
+            or ids and min(ids) < 0
+            or not set(owners) <= {PLAYER0, PLAYER1}
+            or not set(map(type, owners)) <= {int}
+        ):
             seen = set()
             for v, who in zip(ids, owners):
                 if v < 0:
                     raise ValueError(f"node id {v} is negative")
                 if v in seen:
                     raise ValueError(f"duplicate node id {v}")
-                if who not in (PLAYER0, PLAYER1):
+                if type(who) is not int or who not in (PLAYER0, PLAYER1):
                     raise ValueError(f"node {v} has invalid owner {who!r}")
                 seen.add(v)
         if not owner.keys() >= set(sources):

@@ -150,14 +150,13 @@ class ValueCodec:
     can relax plain integers. ``pos_code``/``neg_code`` encode the sentinels.
     """
 
-    __slots__ = ("priorities", "base", "_rank", "_weights", "pos_code", "neg_code")
+    __slots__ = ("priorities", "base", "_weights", "pos_code", "neg_code")
 
     def __init__(self, priorities: Iterable[int], max_count: int):
         self.priorities = tuple(sorted(set(priorities)))
         self.base = 2 * max_count + 4
-        self._rank = {q: r for r, q in enumerate(self.priorities)}
         self._weights = {}
-        for q, r in self._rank.items():
+        for r, q in enumerate(self.priorities):
             w = self.base**r
             self._weights[q] = w if q % 2 == 0 else -w
         self.pos_code = self.base ** (len(self.priorities) + 1)
@@ -179,7 +178,7 @@ class ValueCodec:
     def digit(self, code: int, priority: int) -> int:
         """The count of ``priority`` in the finite value encoded by ``code``,
         read without decoding the other priorities."""
-        w = self.base ** self._rank[priority]
+        w = abs(self._weights[priority])
         high, rem = divmod(code, w)
         # as in decode: the lower-rank terms round away, leaving the signed
         # digit at this rank in the centred residue modulo base
@@ -198,7 +197,7 @@ class ValueCodec:
         counts = []
         rest = code
         for q in reversed(self.priorities):
-            w = self.base ** self._rank[q]
+            w = abs(self._weights[q])
             c, rem = divmod(rest, w)
             # lower-rank terms sum to less than w // 2 in absolute value,
             # so rounding to the nearest multiple of w recovers the digit

@@ -98,8 +98,7 @@ class GameIndex:
                 into[w].append(v)
         self.ids = ids
         self.index = index
-        # ints, though the game accepts bools: owners tag trace switches
-        self.owner = list(map(int, owners))
+        self.owner = owners
         self.succ = succ
         self.pred = pred
         # weight[p]: each node's weight in player p's codes, the gain of p

@@ -1,11 +1,15 @@
 """End-to-end command-line behavior and exit codes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import random_parity_game
-from sinkgames import traces
+from sinkgames import cli, traces
 from sinkgames.cli import main
 from sinkgames.families import gen_table1
 from sinkgames.oracle import brute_force_winners
@@ -396,3 +400,49 @@ class TestExperiment:
         assert code == 0
         rows = [line.split() for line in out.strip().splitlines()[1:]]
         assert all(r[2] == "-" and r[3] == "-" for r in rows)
+
+
+SOLVE_LADDER = ("solve", "--algo", "ssi", "--family", "table1", "--n", "3")
+FAILURES = {
+    "usage-error": (("solve", "--nope"), 2),
+    "bad-value": (("generate", "table1", "--n", "0"), 2),
+    "input-error": (("solve", "--algo", "si", "--game", "/nonexistent.pg"), 2),
+}
+
+
+class TestRepeatedCalls:
+    """``main`` called many times in one process, as a library caller does."""
+
+    def test_two_calls_build_one_parser(self, capsys):
+        cli.build_parser.cache_clear()
+        run_cli(capsys, "--help")
+        run_cli(capsys, *SOLVE_LADDER)
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import sinkgames.cli as c; print(c.build_parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "0\n")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(("--help",), 0), *FAILURES.values(), (SOLVE_LADDER, 0)],
+        ids=["help", *FAILURES, "solve"],
+    )
+    def test_second_call_repeats_the_first(self, capsys, argv, code):
+        first = run_cli(capsys, *argv)
+        assert first[0] == code
+        assert first[1] or first[2]
+        assert run_cli(capsys, *argv) == first
+
+    def test_a_failed_call_leaves_the_next_unchanged(self, capsys):
+        expected = run_cli(capsys, *SOLVE_LADDER)
+        assert expected[0] == 0
+        for argv, code in FAILURES.values():
+            assert run_cli(capsys, *argv)[0] == code
+            assert run_cli(capsys, *SOLVE_LADDER) == expected

@@ -80,7 +80,7 @@ def _reference_error(records, edges, sink) -> str | None:
             return f"node id {rec.id} is negative"
         if rec.id in seen:
             return f"duplicate node id {rec.id}"
-        if rec.owner not in (0, 1):
+        if type(rec.owner) is not int or rec.owner not in (0, 1):
             return f"node {rec.id} has invalid owner {rec.owner!r}"
         seen.add(rec.id)
     for u in edges:
@@ -101,8 +101,8 @@ def _outcome(make):
 @st.composite
 def record_lists(draw):
     """Records with unsorted ids, gaps, labels and, now and then, duplicate
-    or negative ids, owner 2, an edge source that is not a node or a sink
-    that is not a node."""
+    or negative ids, an owner of 2, a bool or a float, an edge source that
+    is not a node or a sink that is not a node."""
     ids = draw(st.lists(st.integers(0, 30), unique=True, max_size=8))
     if ids and draw(st.integers(0, 7)) == 0:
         ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
@@ -111,7 +111,7 @@ def record_lists(draw):
     records = [
         NodeRecord(
             v,
-            draw(st.sampled_from((0, 1) * 8 + (2,))),
+            draw(st.sampled_from((0, 1) * 8 + (2, True, False, 1.0))),
             draw(st.integers(-2, 9)),
             draw(st.one_of(st.none(), st.text("ab;", max_size=2))),
         )
@@ -160,6 +160,16 @@ class TestFromColumns:
                 column.reverse()
                 column.append(-1)
             assert from_columns == built
+
+    @pytest.mark.parametrize("owner", [True, False, 1.0])
+    def test_owner_must_be_the_int_0_or_1(self, owner):
+        owners = [0, owner, 2]
+        records = [NodeRecord(v, who, 2, None) for v, who in enumerate(owners)]
+        edges = {v: (0,) for v in range(3)}
+        message = f"node 1 has invalid owner {owner!r}"
+        assert _outcome(lambda: ParityGame(records, edges, sink=0)) == message
+        columns = ([0, 1, 2], owners, [2] * 3, [None] * 3, [(0,)] * 3)
+        assert _outcome(lambda: ParityGame.from_columns(*columns, sink=0)) == message
 
     def test_columns_must_have_equal_lengths(self):
         with pytest.raises(ValueError, match="columns differ in length"):

