@@ -16,7 +16,7 @@ from . import families, pgsolver, reduction, traces
 from .game import PLAYER0, PLAYER1, ParityGame, Strategy, validate_game
 from .rules import make_rule
 from .solvers import SolverInvariantError, run_gssi, run_si, run_ssi
-from .valuation import NotAdmissibleError, game_index, is_admissible, strategy_codes
+from .valuation import NotAdmissibleError, game_index, is_admissible, valuate
 
 
 class InputError(Exception):
@@ -142,7 +142,7 @@ def _default_strategy(game: ParityGame, player: int) -> Strategy:
 
 def _check_admissible(game: ParityGame, strategy: Strategy, name: str) -> None:
     try:
-        strategy_codes(game, strategy)
+        valuate(game, strategy)
     except NotAdmissibleError as exc:
         raise InputError(f"{name} is not admissible: {exc}") from exc
     except ValueError as exc:

@@ -45,10 +45,11 @@ class ParityGame:
     Node ids are distinct nonnegative integers (generated games use dense
     ids 0..n-1; parsed files may have gaps). Adjacency lists preserve
     declaration order. Construction is permissive about game-theoretic
-    invariants so that :func:`validate_game` can report them.
+    invariants so that :func:`validate_game` can report them. ``_index``
+    caches the derived ``GameIndex``; a race between threads at worst builds it twice.
     """
 
-    __slots__ = ("_ids", "_owner", "_priority", "_label", "_edges", "sink", "__weakref__")
+    __slots__ = ("_ids", "_owner", "_priority", "_label", "_edges", "sink", "_index")
 
     def __init__(
         self,
@@ -114,6 +115,7 @@ class ParityGame:
         self._ids = tuple(order)
         self._owner, self._priority, self._label, self._edges = dicts
         self.sink = sink
+        self._index = None  # filled by sinkgames.valuation.game_index
 
     @property
     def node_ids(self) -> tuple[int, ...]:

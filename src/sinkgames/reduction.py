@@ -109,18 +109,13 @@ def reduce_game(game: ParityGame) -> tuple[ParityGame, ReductionMap]:
     same-owner edge, attach the sink and ``w``, and shift every priority by
     the least even amount that lifts the sink's to 0 or more.
 
-    Before attaching the sink it checks that no edge of the subdivided game
-    joins two nodes of one owner, which subdivision guarantees, so no cycle
-    stays within one player's nodes.
+    Subdivision leaves no edge between two nodes of one owner, so no cycle
+    stays within one player's nodes; the escapes added after it lead only
+    to the sink and ``w``.
     """
     cols = game.columns()
     breakers = _subdivide(cols)
     ids, owners, priorities, labels, rows = cols
-    owner_of = dict(zip(ids, owners))
-    for v, owner, row in zip(ids, owners, rows):
-        for t in row:
-            if owner_of.get(t) == owner:
-                raise ValueError(f"edge ({v}, {t}) joins two nodes of player {owner}")
     top, w, pw = _attach_sink(cols)
     shift = _even_shift(min(priorities))
     rmap = ReductionMap(frozenset(game.node_ids), breakers, w=w, sink=top, pw=pw + shift)

@@ -15,10 +15,7 @@ nodes switched since its last valuation, its improving edges) in a
 two-slot list indexed by ``PLAYER0``/``PLAYER1`` and runs each step once
 per player that has a start strategy: one in single-player improvement,
 both otherwise. Each player's codes are that player's gain (see
-:mod:`sinkgames.valuation`), so no step branches on which player it
-serves. The cache of counterstrategy choices is crossed: ``counter[q]``
-holds the opponent's best response to player ``q``'s codes, is emptied
-when ``q`` is revalued, and filters the edges of player ``1 - q``.
+:mod:`sinkgames.valuation`), so no step branches on the player.
 
 The loops rewire both strategies simultaneously from one chosen set per
 iteration. A player is revalued when it has never been valued or has
@@ -143,9 +140,6 @@ def _run_loop(
     # cone is all that the next valuation recomputes
     switched: list[list[int]] = [[], []]
     improving: list[list[tuple[int, int]]] = [[], []]
-    # counter[q]: the opponent's best response to player q's codes at the
-    # sources asked for so far; it filters the edges of player 1 - q
-    counter: list[dict[int, int]] = [{}, {}]
     for p in players:
         first[p], rest[p] = gi.subgraph_arrays(gi.strategy_array(starts[p]), p)
 
@@ -164,18 +158,14 @@ def _run_loop(
                 codes[p] = solve_values(gi, first[p], rest[p], p, codes[p], switched[p])
                 switched[p] = []
                 improving[p] = improving_edges(gi, first[p], codes[p], p)
-                counter[p] = {}
         candidates: list[tuple[int, int]] = []
         for p in players:
             q = 1 - p
             if mode == SI:
                 candidates += improving[p]
             elif mode == SSI:
-                best = counter[q]
                 # a source with several improving edges may be listed twice
-                missing = [v for v, _ in improving[p] if v not in best]
-                if missing:
-                    best.update(counter_choices(gi, codes[q], missing))
+                best = counter_choices(gi, codes[q], [v for v, _ in improving[p]])
                 candidates += [e for e in improving[p] if best[e[0]] == e[1]]
             else:  # GSSI
                 candidates += weak_edges(improving[p], first[p], codes[q])

@@ -56,12 +56,11 @@ def build_trace_file(
     algorithm: str,
     rule: str,
     seed: int | None = None,
-    certificate: str | None = None,
+    *,
+    certificate: str,
 ) -> TraceFile:
-    """The trace of a finished run. ``certificate`` is the run's
-    :func:`certificate_status` when the caller already has it."""
-    if certificate is None:
-        certificate = certificate_status(game, result)
+    """The trace of a finished run; ``certificate`` is the run's
+    :func:`certificate_status`."""
     header = TraceHeader(game_id, algorithm, rule, seed, game.num_nodes, game.num_edges)
     rows = tuple(
         (record.index, owner, source, target)

@@ -33,7 +33,6 @@ decides admissibility.
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -52,8 +51,9 @@ class GameIndex:
     """Dense per-game arrays used by the fixpoint engine and solver loops.
 
     Indexes are positions in the ascending node-id order, so index order and
-    id order agree for tie-breaking purposes. The index holds no reference
-    to its game, so a cached index never keeps a game alive.
+    id order agree for tie-breaking purposes. It is a cache derived from an
+    immutable game, which :func:`game_index` keeps on the game itself. The
+    index holds no reference to its game, so the two are freed together.
     """
 
     __slots__ = (
@@ -192,19 +192,12 @@ class Valuation:
         return self.gi.codec.digit(code if self.player == PLAYER0 else -code, priority)
 
 
-# identity-keyed: games are value-comparable but the index binds to one
-# object; the entry dies with its game, so a later game reusing the id
-# never finds it
-_INDEX_CACHE: dict[int, GameIndex] = {}
-
-
 def game_index(game: ParityGame) -> GameIndex:
-    key = id(game)
-    gi = _INDEX_CACHE.get(key)
+    """The game's index, built on first use and kept on the game; two
+    threads that ask at once may each build an equal one."""
+    gi = game._index
     if gi is None:
-        gi = GameIndex(game)
-        _INDEX_CACHE[key] = gi
-        weakref.finalize(game, _INDEX_CACHE.pop, key, None)
+        gi = game._index = GameIndex(game)
     return gi
 
 
@@ -402,24 +395,20 @@ def valuation_from_codes(gi: GameIndex, values: list[int], player: int) -> Valua
     return Valuation(player, tuple(values), gi)
 
 
-def strategy_codes(game: ParityGame, strategy: Strategy) -> tuple[GameIndex, list[int]]:
-    """The game's index and the encoded valuation of ``strategy``, from a
-    cold start; raises NotAdmissibleError."""
-    check_strategy(game, strategy)
-    gi = game_index(game)
-    succ_first, succ_rest = gi.subgraph_arrays(gi.strategy_array(strategy), strategy.player)
-    return gi, solve_values(gi, succ_first, succ_rest, strategy.player)
-
-
 def valuate(game: ParityGame, strategy: Strategy) -> Valuation:
     """Value every node of the strategy subgraph against a best-responding
-    opponent; the returned counterstrategy attains the optimum everywhere.
+    opponent, from a cold start; the returned counterstrategy attains the
+    optimum everywhere.
 
-    Raises NotAdmissibleError when the opponent can force a cycle of their
-    own parity (or trap the pebble away from the sink).
+    Raises ValueError for an invalid strategy, and NotAdmissibleError when
+    the opponent can force a cycle of their own parity (or trap the pebble
+    away from the sink).
     """
-    gi, values = strategy_codes(game, strategy)
-    return valuation_from_codes(gi, values, strategy.player)
+    check_strategy(game, strategy)
+    gi = game_index(game)
+    player = strategy.player
+    succ_first, succ_rest = gi.subgraph_arrays(gi.strategy_array(strategy), player)
+    return valuation_from_codes(gi, solve_values(gi, succ_first, succ_rest, player), player)
 
 
 def is_admissible(game: ParityGame, strategy: Strategy) -> bool:
@@ -430,7 +419,7 @@ def is_admissible(game: ParityGame, strategy: Strategy) -> bool:
     stabilizes at finite values.
     """
     try:
-        strategy_codes(game, strategy)
+        valuate(game, strategy)
     except NotAdmissibleError:
         return False
     return True

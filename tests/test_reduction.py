@@ -57,14 +57,18 @@ class TestBreakCycles:
             assert reduced.successors(v) == game.successors(v) + (escape[game.owner(v)],)
 
     def test_no_same_owner_cycles_remain(self):
+        # subdivision guarantees this by construction, and reduce_game
+        # relies on it without a check of its own
         rng = random.Random(83)
-        for _ in range(40):
-            game = random_parity_game(rng)
+        games = [random_parity_game(rng) for _ in range(40)]
+        games += [_decorated_game(rng) for _ in range(100)]
+        games.append(random_parity_game(random.Random(2000), min_nodes=2000, max_nodes=2000))
+        for game in games:
             reduced, rmap = reduce_game(game)
             for u in reduced.node_ids:
                 for w in reduced.successors(u):
                     if w not in (rmap.sink, rmap.w):
-                        assert reduced.owner(u) != reduced.owner(w)
+                        assert reduced.owner(u) != reduced.owner(w), (u, w)
 
     def test_priorities_shifted_to_stay_nonnegative(self):
         game = ParityGame(
@@ -125,15 +129,6 @@ class TestReduceGame:
             reduced, rmap = reduce_game(game)
             assert (reduced.columns(), reduced.sink) == (cols, sink)
             assert rmap == reduction.ReductionMap(frozenset(game.node_ids), breakers, w, sink, pw)
-
-    def test_refuses_a_same_owner_edge_left_by_subdivision(self, monkeypatch):
-        monkeypatch.setattr(reduction, "_subdivide", lambda cols: {})
-        game = ParityGame(
-            [NodeRecord(0, 1, 3, None), NodeRecord(1, 1, 5, None)],
-            {0: (1,), 1: (1,)},
-        )
-        with pytest.raises(ValueError, match="joins two nodes of player 1"):
-            reduce_game(game)
 
     def test_golden_output(self):
         """The ``reduce`` output of a seeded 2,000-node game, byte for byte

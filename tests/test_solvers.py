@@ -12,13 +12,14 @@ from sinkgames.oracle import enumerate_optimal_strategy
 from sinkgames.reduction import reduce_game, trivial_strategies
 from sinkgames.rules import make_rule, switch_all_rule
 from sinkgames.solvers import (
+    IterationTrace,
     replay_trace,
     run_gssi,
     run_si,
     run_ssi,
     verify_optimal,
 )
-from sinkgames.valuation import improving_moves, valuate
+from sinkgames.valuation import improving_moves, j_set, valuate
 
 
 class TestRunSi:
@@ -219,6 +220,71 @@ class TestRecordStream:
             for r in _stream_run(name).trace.iterations
         ]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == RECORD_DIGESTS[name]
+
+
+def _candidate_runs():
+    """Start pairs: the ladders with n <= 6, the gadgets with n <= 4, and
+    40 seeded random sink games with sampled admissible strategies."""
+    insts = [*map(gen_table1, range(1, 7)), *map(gen_table2, range(1, 5))]
+    runs = [(inst.game, inst.sigma0, inst.tau0) for inst in insts]
+    rng = random.Random(211)
+    while len(runs) < 50:
+        game = random_sink_game(rng)
+        pair = admissible_pair(game, rng)
+        if pair is not None:
+            runs.append((game, *pair))
+    return runs
+
+
+def _candidate_sets(game, algo, sigma, tau):
+    """Each player's candidate set, built from the public definitions: I
+    for single-player improvement, I restricted to the edges of the
+    opponent valuation's counterstrategy for symmetric improvement, and
+    I and J for the generalized loop."""
+    strategies = (sigma, tau)
+    xi = [None if s is None else valuate(game, s) for s in strategies]
+    improving = [
+        frozenset() if s is None else improving_moves(game, s, x) for s, x in zip(strategies, xi)
+    ]
+    if algo in ("si0", "si1"):
+        return improving
+    if algo == "ssi":
+        return [
+            frozenset(e for e in improving[p] if xi[1 - p].counter.choice[e[0]] == e[1])
+            for p in (0, 1)
+        ]
+    return [improving[p] & j_set(game, strategies[p], xi[1 - p]) for p in (0, 1)]
+
+
+class TestCandidateSets:
+    @pytest.mark.parametrize("rule_name", ["all", "single", "random"])
+    @pytest.mark.parametrize("algo", ["ssi", "gssi", "si0", "si1"])
+    def test_candidates_match_their_definition(self, algo, rule_name):
+        # replayed pass by pass, each record's sizes are those of the sets
+        # the definitions give on that pass's strategies, and each switch
+        # is a member of its player's set
+        passes = filtered = 0
+        for game, sigma0, tau0 in _candidate_runs():
+            rule = make_rule(rule_name, 13)
+            if algo == "si0":
+                result, tau0 = run_si(game, sigma0, rule), None
+            elif algo == "si1":
+                result, sigma0 = run_si(game, tau0, rule), None
+            else:
+                result = (run_ssi if algo == "ssi" else run_gssi)(game, sigma0, tau0, rule)
+            sigma, tau = sigma0, tau0
+            for record in result.trace.iterations:
+                sets = _candidate_sets(game, algo, sigma, tau)
+                assert record.candidates == len(sets[0]) + len(sets[1])
+                for owner, v, w in record.switches:
+                    assert (v, w) in sets[owner]
+                sigma, tau = replay_trace(game, sigma, tau, IterationTrace((record,)))
+                passes += 1
+                filtered += record.candidates < record.improving_sigma + record.improving_tau
+            assert (sigma, tau) == (result.sigma, result.tau)
+        assert passes > 100
+        # the symmetric loops' filters drop improving edges on many passes
+        assert filtered > 50 if algo in ("ssi", "gssi") else filtered == 0
 
 
 class TestVerifyOptimal:

@@ -7,6 +7,7 @@ from sinkgames.rules import switch_all_rule
 from sinkgames.solvers import run_ssi
 from sinkgames.traces import (
     build_trace_file,
+    certificate_status,
     from_csv,
     from_json,
     parse_strategy_text,
@@ -20,7 +21,8 @@ from sinkgames.traces import (
 def ladder_run():
     inst = gen_table1(3)
     result = run_ssi(inst.game, inst.sigma0, inst.tau0, switch_all_rule())
-    trace = build_trace_file(inst.game, result, "table1-n3", "ssi", "all")
+    status = certificate_status(inst.game, result)
+    trace = build_trace_file(inst.game, result, "table1-n3", "ssi", "all", certificate=status)
     return inst, result, trace
 
 

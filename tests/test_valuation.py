@@ -20,14 +20,13 @@ from sinkgames.rules import switch_all_rule
 from sinkgames.solvers import run_gssi, run_si, run_ssi, verify_optimal
 from sinkgames import valuation as valuation_module
 from sinkgames.valuation import (
-    _INDEX_CACHE,
+    GameIndex,
     NotAdmissibleError,
     game_index,
     improving_moves,
     is_admissible,
     j_set,
     solve_values,
-    strategy_codes,
     successors_first,
     valuate,
 )
@@ -333,19 +332,37 @@ class TestEncodedFilters:
         assert with_mismatch > 20
 
 
+def _live_indexes():
+    return sum(isinstance(obj, GameIndex) for obj in gc.get_objects())
+
+
 class TestIndexCache:
+    def test_one_index_per_game(self):
+        game = gen_table1(3).game
+        assert game_index(game) is game_index(game)
+
+    def test_an_equal_game_gets_its_own_index(self):
+        game = gen_table1(3).game
+        twin = ParityGame.from_columns(*game.columns(), sink=game.sink)
+        assert twin == game and twin is not game
+        assert game_index(twin) is not game_index(game)
+        assert game_index(twin).ids == game_index(game).ids
+
     def test_discarded_games_leave_the_cache(self):
         gc.collect()
-        start = len(_INDEX_CACHE)
+        start = _live_indexes()
         rng = random.Random(167)
         for _ in range(25):
             game = random_sink_game(rng)
+            game_index(game)
             strategy = random_admissible_strategy(game, 0, rng)
             if strategy is not None:
                 valuate(game, strategy)
-            del game, strategy
+        # the last game is still referenced, and so is its index
+        assert _live_indexes() == start + 1
+        del game, strategy
         gc.collect()
-        assert len(_INDEX_CACHE) == start
+        assert _live_indexes() == start
 
 
 def _seeded_games(rng, count):
@@ -419,7 +436,8 @@ class TestIncrementalRevaluation:
 
     def test_no_switch_keeps_every_code(self):
         inst = gen_table1(4)
-        gi, cold = strategy_codes(inst.game, inst.sigma0)
+        xi = valuate(inst.game, inst.sigma0)
+        gi, cold = xi.gi, list(xi.codes)
         first, rest = gi.subgraph_arrays(gi.strategy_array(inst.sigma0), 0)
         assert solve_values(gi, first, rest, 0, cold, ()) == cold
 
@@ -584,7 +602,8 @@ class TestReferenceEngine:
             {0: (0,), 1: (0, 2), 2: (0,), 3: (1, 4), 4: (3, 1)},
             sink=0,
         )
-        gi, prev = strategy_codes(game, Strategy(0, {0: 0, 1: 0, 3: 1}))
+        xi = valuate(game, Strategy(0, {0: 0, 1: 0, 3: 1}))
+        gi, prev = xi.gi, list(xi.codes)
         choice = [0, 2, None, 4, None]
         first, rest = gi.subgraph_arrays(choice, 0)
         order, back = successors_first(gi, first, 0, [1, 3], list(prev))
@@ -632,7 +651,8 @@ class TestReferenceEngine:
             sink=0,
         )
         ref = _reference(game)
-        gi, prev = strategy_codes(game, Strategy(0, {0: 0, 1: 0, 2: 0, 3: 2}))
+        xi = valuate(game, Strategy(0, {0: 0, 1: 0, 2: 0, 3: 2}))
+        gi, prev = xi.gi, list(xi.codes)
         for choice, switched in (([0, 2, 3, 2], [1, 2]), ([0, 0, 3, 2], [2])):
             first, rest = gi.subgraph_arrays(choice, 0)
             for args in ((), (prev, switched)):
