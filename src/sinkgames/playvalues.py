@@ -156,10 +156,13 @@ class ValueCodec:
         self.priorities = tuple(sorted(set(priorities)))
         self.base = 2 * max_count + 4
         self._weights = {}
-        for r, q in enumerate(self.priorities):
-            w = self.base**r
+        # each power from the one below it: base ** r afresh for every rank
+        # is quadratic big-integer work in the priority count
+        w = 1
+        for q in self.priorities:
             self._weights[q] = w if q % 2 == 0 else -w
-        self.pos_code = self.base ** (len(self.priorities) + 1)
+            w *= self.base
+        self.pos_code = w * self.base
         self.neg_code = -self.pos_code
 
     def weight(self, priority: int) -> int:

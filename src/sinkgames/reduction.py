@@ -4,8 +4,9 @@ Any parity game can be solved by (1) subdividing every same-owner edge so
 no cycle stays within one player's nodes, (2) adding a sink with an escape
 edge from every player 0 node and a high even-priority node ``w`` with an
 escape from every player 1 node, (3) finding the optimal strategy pair of
-the resulting sink game, and (4) reading each original node's winner off
-whether the optimal play from it passes ``w``.
+the resulting sink game: player 0's by one run of strategy improvement,
+player 1's as the best response to it, and (4) reading each original
+node's winner off whether the optimal play from it passes ``w``.
 
 All priorities are then shifted upward by the least even amount that keeps
 them nonnegative; an even shift changes no cycle parities and no value
@@ -166,13 +167,34 @@ def extract_winners(
     return WinnerResult(w0, frozenset(w1), compose(sigma.choice), compose(tau.choice))
 
 
+def _optimal_pair(reduced: ParityGame, rmap: ReductionMap) -> tuple[Strategy, Strategy]:
+    # only the two strategies outlive this call: the run's result holds code
+    # arrays that grow with the game and its priority count
+    sigma0, _ = trivial_strategies(reduced, rmap)
+    result = run_si(reduced, sigma0, switch_all_rule())
+    return result.sigma, result.xi_sigma.counter
+
+
 def solve_winners(game: ParityGame) -> WinnerResult:
     """End-to-end winner computation for an arbitrary parity game: reduce,
-    solve each player's side by plain strategy improvement with the
-    switch-all rule, verify the pair, and extract."""
+    improve player 0's strategy by plain strategy improvement with the
+    switch-all rule, take player 1's best response to the result, verify
+    the pair, and extract.
+
+    Why the response is optimal: the final strategy sigma has no improving
+    moves, so its codes c satisfy c[v] = w[v] + max c over the successors
+    at player 0's nodes and c[v] = w[v] + min c at player 1's nodes. The
+    response tau takes that least successor at each player 1 node, so -c is
+    a finite fixpoint of tau's own equations (player 1's codes are negated,
+    and player 0 then takes the least of them). Around any cycle of tau's
+    subgraph those equations give a weight of at most 0 for player 0, and
+    the codec gives no cycle weight 0, so every such cycle is won by
+    player 1, and player 0's escapes keep the sink in reach. So tau is
+    admissible, and as an admissible strategy's equations have one finite
+    solution, its valuation is -c. Then tau has no improving moves and the
+    two valuations agree node for node: the pair is optimal, which
+    ``extract_winners`` still certifies from two cold valuations.
+    """
     reduced, rmap = reduce_game(game)
-    sigma0, tau0 = trivial_strategies(reduced, rmap)
-    rule = switch_all_rule()
-    sigma = run_si(reduced, sigma0, rule).sigma
-    tau = run_si(reduced, tau0, rule).tau
+    sigma, tau = _optimal_pair(reduced, rmap)
     return extract_winners(reduced, rmap, sigma, tau)

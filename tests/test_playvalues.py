@@ -148,6 +148,17 @@ class TestCodec:
             ca, cb = codec.encode(a), codec.encode(b)
             assert compare(a, b) == (ca > cb) - (ca < cb)
 
+    def test_weights_are_signed_powers_of_the_base(self):
+        # about as many priorities as the reduction of a 5,000-node game
+        rng = random.Random(13)
+        priorities = rng.sample(range(-50, 12000), 4000)
+        codec = ValueCodec(priorities, max_count=9)
+        assert codec.priorities == tuple(sorted(priorities))
+        for rank, q in enumerate(codec.priorities):
+            assert codec.weight(q) == (-1) ** (q % 2) * codec.base**rank, q
+        assert codec.pos_code == codec.base ** (len(priorities) + 1)
+        assert codec.neg_code == -codec.pos_code
+
     def test_sentinels(self):
         codec = ValueCodec([1, 2], max_count=5)
         assert codec.decode(codec.encode(POS_INF)) is POS_INF

@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import random_parity_game
 from sinkgames.game import (
@@ -23,9 +24,11 @@ from sinkgames.reduction import (
     solve_winners,
     trivial_strategies,
 )
-from sinkgames.solvers import SolverInvariantError
-from sinkgames.valuation import is_admissible
+from sinkgames.rules import switch_all_rule
+from sinkgames.solvers import SolverInvariantError, run_si, verify_optimal
+from sinkgames.valuation import is_admissible, valuate
 from reduction_reference import two_step_reduction
+from test_pgsolver import valid_texts
 from winning_check import winning_problems
 
 
@@ -57,18 +60,17 @@ class TestBreakCycles:
             assert reduced.successors(v) == game.successors(v) + (escape[game.owner(v)],)
 
     def test_no_same_owner_cycles_remain(self):
-        # subdivision guarantees this by construction, and reduce_game
-        # relies on it without a check of its own
         rng = random.Random(83)
         games = [random_parity_game(rng) for _ in range(40)]
         games += [_decorated_game(rng) for _ in range(100)]
         games.append(random_parity_game(random.Random(2000), min_nodes=2000, max_nodes=2000))
         for game in games:
-            reduced, rmap = reduce_game(game)
-            for u in reduced.node_ids:
-                for w in reduced.successors(u):
-                    if w not in (rmap.sink, rmap.w):
-                        assert reduced.owner(u) != reduced.owner(w), (u, w)
+            _assert_no_same_owner_edge(game)
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_texts())
+    def test_no_same_owner_cycles_remain_in_drawn_games(self, text):
+        _assert_no_same_owner_edge(parse_pgsolver(text))
 
     def test_priorities_shifted_to_stay_nonnegative(self):
         game = ParityGame(
@@ -102,6 +104,17 @@ class TestToSinkGame:
             sigma, tau = trivial_strategies(reduced, rmap)
             assert is_admissible(reduced, sigma)
             assert is_admissible(reduced, tau)
+
+
+def _assert_no_same_owner_edge(game: ParityGame) -> None:
+    """No edge of the reduced game but an escape joins two nodes of one
+    owner: subdivision guarantees this by construction, and reduce_game
+    relies on it without a check of its own."""
+    reduced, rmap = reduce_game(game)
+    for u in reduced.node_ids:
+        for w in reduced.successors(u):
+            if w not in (rmap.sink, rmap.w):
+                assert reduced.owner(u) != reduced.owner(w), (u, w)
 
 
 def _decorated_game(rng: random.Random) -> ParityGame:
@@ -199,18 +212,36 @@ class TestExtractWinners:
                 assert game.has_edge(v, w)
 
 
+def _seeded_game(seed: int, n: int) -> tuple[dict, dict, dict]:
+    """The owners, priorities and successors of a seeded random game past
+    the brute-force oracle's reach."""
+    rng = random.Random(f"winning/{seed}/{n}")
+    owner = {v: rng.randint(0, 1) for v in range(n)}
+    priority = {v: rng.randint(0, 2 * n) for v in range(n)}
+    successors = {v: tuple(rng.sample(range(n), rng.randint(1, 3))) for v in range(n)}
+    return owner, priority, successors
+
+
+def _parity_game(owner: dict, priority: dict, successors: dict) -> ParityGame:
+    ids = list(owner)
+    return ParityGame.from_columns(
+        ids, [owner[v] for v in ids], [priority[v] for v in ids], [None] * len(ids),
+        [successors[v] for v in ids],
+    )
+
+
+def _checked_winners(owner: dict, priority: dict, successors: dict) -> reduction.WinnerResult:
+    """``solve_winners`` of the game, which must pass ``winning_check``."""
+    result = solve_winners(_parity_game(owner, priority, successors))
+    claim = (set(result.w0), set(result.w1), result.strategy0, result.strategy1)
+    assert winning_problems(owner, priority, successors, *claim) == []
+    return result
+
+
 class TestWinningStrategies:
     """``solve_winners`` on games past the brute-force oracle's reach, each
     result checked by ``winning_check``, which shares no code with the
     solver."""
-
-    @staticmethod
-    def _game(seed: int, n: int) -> tuple[dict, dict, dict]:
-        rng = random.Random(f"winning/{seed}/{n}")
-        owner = {v: rng.randint(0, 1) for v in range(n)}
-        priority = {v: rng.randint(0, 2 * n) for v in range(n)}
-        successors = {v: tuple(rng.sample(range(n), rng.randint(1, 3))) for v in range(n)}
-        return owner, priority, successors
 
     @pytest.mark.parametrize("n", [50, 100, 200, 400])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -221,14 +252,9 @@ class TestWinningStrategies:
         self._check(1, 1600)
 
     def _check(self, seed: int, n: int) -> None:
-        owner, priority, successors = self._game(seed, n)
-        game = ParityGame.from_columns(
-            list(owner), list(owner.values()), list(priority.values()), [None] * n,
-            list(successors.values()),
-        )
-        result = solve_winners(game)
+        owner, priority, successors = _seeded_game(seed, n)
+        result = _checked_winners(owner, priority, successors)
         claim = (set(result.w0), set(result.w1), result.strategy0, result.strategy1)
-        assert winning_problems(owner, priority, successors, *claim) == []
         rng = random.Random(seed)
         for v in rng.sample(range(n), 5):
             w0, w1 = claim[0] ^ {v}, claim[1] ^ {v}
@@ -248,3 +274,90 @@ class TestWinningStrategies:
         assert winning_problems(owner, priority, successors, {0, 1, 2}, set(), {}, {}) == [
             "W0 holds a cycle through 1 with top priority of parity 1"
         ]
+
+
+class TestBestResponse:
+    """Player 1's optimal strategy in a reduced game is the best response
+    to player 0's optimal strategy, as ``solve_winners`` takes it."""
+
+    @pytest.mark.parametrize(
+        "seed, n", [(seed, n) for n in (20, 50, 100, 200, 400) for seed in (1, 2, 3)] + [(1, 1600)]
+    )
+    def test_counterstrategy_of_the_optimum_is_optimal(self, seed, n):
+        reduced, rmap = reduce_game(_parity_game(*_seeded_game(seed, n)))
+        sigma0, _ = trivial_strategies(reduced, rmap)
+        result = run_si(reduced, sigma0, switch_all_rule())
+        tau = result.xi_sigma.counter
+        assert verify_optimal(reduced, result.sigma, tau).ok
+        # player 1's codes are negated, so its values equal player 0's
+        assert valuate(reduced, tau).codes == tuple(-c for c in result.xi_sigma.codes)
+
+    def test_solve_winners_runs_strategy_improvement_once(self, monkeypatch):
+        players = []
+
+        def counted(game, start, rule):
+            players.append(start.player)
+            return run_si(game, start, rule)
+
+        monkeypatch.setattr(reduction, "run_si", counted)
+        owner, priority, successors = _seeded_game(1, 100)
+        _checked_winners(owner, priority, successors)
+        assert players == [PLAYER0]
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(1, 50), (2, 100), (3, 200), (4, 400), (5, 800)],
+    ids=lambda param: "{}-{}".format(*param),
+)
+def solved(request):
+    """A seeded game past the oracle's reach and its checked winners."""
+    game = _seeded_game(*request.param)
+    return game, _checked_winners(*game)
+
+
+class TestMetamorphic:
+    """Relations between the winners of two games, which need no oracle and
+    so hold at any size; every result also passes ``winning_check``."""
+
+    def test_dual_game_swaps_the_winners(self, solved):
+        (owner, priority, successors), result = solved
+        dual = _checked_winners(
+            {v: 1 - o for v, o in owner.items()}, {v: q + 1 for v, q in priority.items()}, successors
+        )
+        assert (dual.w0, dual.w1) == (result.w1, result.w0)
+
+    def test_renumbering_maps_the_winners(self, solved):
+        (owner, priority, successors), result = solved
+        n = len(owner)
+        new_id = dict(zip(owner, random.Random(n).sample(range(3 * n), n)))
+        renamed = _checked_winners(
+            {new_id[v]: o for v, o in owner.items()},
+            {new_id[v]: q for v, q in priority.items()},
+            {new_id[v]: tuple(new_id[w] for w in ws) for v, ws in successors.items()},
+        )
+        assert renamed.w0 == {new_id[v] for v in result.w0}
+        assert renamed.w1 == {new_id[v] for v in result.w1}
+
+    def test_even_priority_shift_changes_nothing(self, solved):
+        (owner, priority, successors), result = solved
+        for shift in (6, -2 * len(owner) - 2):
+            shifted = {v: q + shift for v, q in priority.items()}
+            assert _checked_winners(owner, shifted, successors) == result, shift
+
+    def test_unreachable_component_changes_nothing_on_the_original(self, solved):
+        (owner, priority, successors), result = solved
+        n = len(owner)
+        extra_owner, extra_priority, extra_successors = _seeded_game(7, n // 2)
+        # the extra nodes n.. lead among themselves and now and then into
+        # the original nodes, but no original node leads to them
+        rng = random.Random(n)
+        owner = owner | {n + v: o for v, o in extra_owner.items()}
+        priority = priority | {n + v: q for v, q in extra_priority.items()}
+        successors = successors | {
+            n + v: tuple(n + w for w in ws) + ((rng.randrange(n),) if v % 3 == 0 else ())
+            for v, ws in extra_successors.items()
+        }
+        both = _checked_winners(owner, priority, successors)
+        assert both.w0 & set(range(n)) == result.w0
+        assert both.w1 & set(range(n)) == result.w1
