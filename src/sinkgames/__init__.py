@@ -1,5 +1,6 @@
 """Sink parity games: strategy improvement solvers, worst-case instance
-generators, a brute-force oracle, and file-format tooling."""
+generators, winner computation for arbitrary parity games, and file-format
+tooling."""
 
 from .game import (
     PLAYER0,
@@ -12,7 +13,7 @@ from .game import (
     infer_sink,
     validate_game,
 )
-from .playvalues import NEG_INF, POS_INF, PlayValue, ValueCodec, add_priority, compare
+from .playvalues import NEG_INF, POS_INF, PlayValue, ValueCodec
 from .valuation import (
     NotAdmissibleError,
     Valuation,
@@ -56,15 +57,6 @@ from .reduction import (
     reduce_game,
     solve_winners,
     trivial_strategies,
-)
-from .oracle import (
-    BudgetExceededError,
-    EnumerationBudget,
-    brute_force_winners,
-    enumerate_optimal_response,
-    enumerate_optimal_strategy,
-    is_admissible_bruteforce,
-    play_values,
 )
 from .pgsolver import ParseError, parse_pgsolver, write_pgsolver
 from .traces import (

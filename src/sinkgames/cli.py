@@ -265,15 +265,11 @@ def cmd_winners(args: argparse.Namespace) -> int:
     for v, w in sorted(result.strategy1.items()):
         print(f"win1 {v} {w}")
     if args.sigma_out:
-        _write_text(
-            args.sigma_out,
-            "".join(f"{v} {w}\n" for v, w in sorted(result.strategy0.items())),
-        )
+        sigma = Strategy(PLAYER0, result.strategy0)
+        _write_text(args.sigma_out, traces.write_strategy_text(sigma))
     if args.tau_out:
-        _write_text(
-            args.tau_out,
-            "".join(f"{v} {w}\n" for v, w in sorted(result.strategy1.items())),
-        )
+        tau = Strategy(PLAYER1, result.strategy1)
+        _write_text(args.tau_out, traces.write_strategy_text(tau))
     return 0
 
 

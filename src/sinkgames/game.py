@@ -146,14 +146,8 @@ class ParityGame:
     def successors(self, v: int) -> tuple[int, ...]:
         return self._edges[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self._edges and v in self._edges[u]
-
     def nodes_of(self, player: int) -> tuple[int, ...]:
         return tuple(v for v, owner in self._owner.items() if owner == player)
-
-    def priorities(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self._priority.values())))
 
     @property
     def num_nodes(self) -> int:

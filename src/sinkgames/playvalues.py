@@ -1,19 +1,18 @@
-"""Play values: priority-count vectors with -inf/+inf sentinels and their total order.
+"""Play values: priority-count vectors with -inf/+inf sentinels, and their
+order-preserving integer codes.
 
 A finite play value counts how often each priority occurs on a path to the
 sink. Values are compared from the highest differing priority downward: more
 of an even priority is better for player 0, more of an odd priority is worse.
-The sentinels bound the order from below and above.
+The sentinels bound the order from below and above. The library compares
+only codes (``ValueCodec``), whose integer order is this order, and decodes
+them to ``PlayValue`` at the API edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
-
-LESS = -1
-EQUAL = 0
-GREATER = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,18 +62,6 @@ class PlayValue:
                 break
         return 0
 
-    def __lt__(self, other: "PlayValue") -> bool:
-        return compare(self, other) == LESS
-
-    def __le__(self, other: "PlayValue") -> bool:
-        return compare(self, other) != GREATER
-
-    def __gt__(self, other: "PlayValue") -> bool:
-        return compare(self, other) == GREATER
-
-    def __ge__(self, other: "PlayValue") -> bool:
-        return compare(self, other) != LESS
-
     def __repr__(self) -> str:
         if self.sign < 0:
             return "PlayValue(-inf)"
@@ -86,59 +73,6 @@ class PlayValue:
 
 NEG_INF = PlayValue(-1)
 POS_INF = PlayValue(1)
-
-
-def compare(a: PlayValue, b: PlayValue) -> int:
-    """Total order on play values; returns -1, 0 or 1.
-
-    For finite values the highest priority with differing counts decides:
-    a is smaller when it has fewer of an even or more of an odd priority.
-    """
-    if a.sign != b.sign:
-        return LESS if a.sign < b.sign else GREATER
-    if a.sign != 0:
-        return EQUAL
-    ia, ib = 0, 0
-    ca, cb = a.counts, b.counts
-    while ia < len(ca) or ib < len(cb):
-        qa = ca[ia][0] if ia < len(ca) else None
-        qb = cb[ib][0] if ib < len(cb) else None
-        if qb is None or (qa is not None and qa > qb):
-            q, na, nb = qa, ca[ia][1], 0
-            ia += 1
-        elif qa is None or qb > qa:
-            q, na, nb = qb, 0, cb[ib][1]
-            ib += 1
-        else:
-            q, na, nb = qa, ca[ia][1], cb[ib][1]
-            ia += 1
-            ib += 1
-        if na != nb:
-            if q % 2 == 0:
-                return LESS if na < nb else GREATER
-            return GREATER if na < nb else LESS
-    return EQUAL
-
-
-def add_priority(a: PlayValue, priority: int) -> PlayValue:
-    """Increment the count at ``priority`` by one; infinities pass through."""
-    if a.sign != 0:
-        return a
-    out = []
-    inserted = False
-    for q, c in a.counts:
-        if q == priority:
-            out.append((q, c + 1))
-            inserted = True
-        elif q < priority and not inserted:
-            out.append((priority, 1))
-            out.append((q, c))
-            inserted = True
-        else:
-            out.append((q, c))
-    if not inserted:
-        out.append((priority, 1))
-    return PlayValue(0, tuple(out))
 
 
 class ValueCodec:

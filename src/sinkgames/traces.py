@@ -11,6 +11,7 @@ Strategy files are one ``<node-id> <successor-id>`` pair of ASCII numbers per li
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .game import ParityGame, Strategy, check_strategy
@@ -18,6 +19,11 @@ from .solvers import SolveResult, verify_optimal
 from .valuation import improving_moves, valuate
 
 Row = tuple[int, int, int, int]  # iteration, owner, from, to
+
+# the keys in the order to_csv writes them; only the game id may hold blanks
+_CSV_HEADER = re.compile(
+    r"# game=(.*) algorithm=(\S*) rule=(\S*) seed=(\S*) nodes=(\S*) edges=(\S*)"
+)
 
 
 @dataclass(frozen=True)
@@ -88,24 +94,19 @@ def from_csv(text: str) -> TraceFile:
     if len(lines) < 3 or not lines[0].startswith("#") or not lines[-1].startswith("#"):
         raise ValueError("not a trace CSV: missing header or footer comment lines")
 
-    def fields(comment: str) -> dict[str, str]:
-        return dict(part.split("=", 1) for part in comment.lstrip("# ").split())
-
-    head = fields(lines[0])
-    foot = fields(lines[-1])
+    head = _CSV_HEADER.fullmatch(lines[0])
+    if head is None:
+        raise ValueError("unexpected trace CSV header comment")
+    foot = dict(part.split("=", 1) for part in lines[-1].lstrip("# ").split())
     if lines[1] != "iteration,owner,from,to":
         raise ValueError("unexpected trace CSV column header")
     rows = []
     for line in lines[2:-1]:
         it, owner, src, dst = line.split(",")
         rows.append((int(it), int(owner), int(src), int(dst)))
+    game_id, algorithm, rule, seed, nodes, edges = head.groups()
     header = TraceHeader(
-        head["game"],
-        head["algorithm"],
-        head["rule"],
-        None if head["seed"] == "-" else int(head["seed"]),
-        int(head["nodes"]),
-        int(head["edges"]),
+        game_id, algorithm, rule, None if seed == "-" else int(seed), int(nodes), int(edges)
     )
     return TraceFile(header, tuple(rows), int(foot["iterations"]), foot["certificate"])
 
@@ -139,8 +140,7 @@ def from_json(text: str) -> TraceFile:
 
 
 def write_strategy_text(strategy: Strategy) -> str:
-    lines = [f"{v} {w}" for v, w in sorted(strategy.choice.items())]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{v} {w}\n" for v, w in sorted(strategy.choice.items()))
 
 
 def parse_strategy_text(text: str, game: ParityGame) -> Strategy:

@@ -1,8 +1,11 @@
 """Brute-force reference solvers used to cross-check the valuation engine.
 
-Everything here evaluates plays by literally walking strategy pairs with
-visited-node detection, sharing no code with the fixpoint engine. It is
-intentionally naive and guarded by an enumeration budget.
+Test-only: no library code calls it. Everything here evaluates plays by
+literally walking strategy pairs with visited-node detection, and orders
+play values by their count vectors (``compare``), sharing no code with the
+fixpoint engine or the integer codec. It imports only data types from
+``sinkgames``. It is intentionally naive and guarded by an enumeration
+budget.
 """
 
 from __future__ import annotations
@@ -10,8 +13,64 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .game import PLAYER0, PLAYER1, ParityGame, Strategy
-from .playvalues import NEG_INF, POS_INF, PlayValue, add_priority, compare
+from sinkgames import NEG_INF, PLAYER0, PLAYER1, POS_INF, ParityGame, PlayValue, Strategy
+
+LESS = -1
+EQUAL = 0
+GREATER = 1
+
+
+def compare(a: PlayValue, b: PlayValue) -> int:
+    """Total order on play values; returns -1, 0 or 1.
+
+    For finite values the highest priority with differing counts decides:
+    a is smaller when it has fewer of an even or more of an odd priority.
+    """
+    if a.sign != b.sign:
+        return LESS if a.sign < b.sign else GREATER
+    if a.sign != 0:
+        return EQUAL
+    ia, ib = 0, 0
+    ca, cb = a.counts, b.counts
+    while ia < len(ca) or ib < len(cb):
+        qa = ca[ia][0] if ia < len(ca) else None
+        qb = cb[ib][0] if ib < len(cb) else None
+        if qb is None or (qa is not None and qa > qb):
+            q, na, nb = qa, ca[ia][1], 0
+            ia += 1
+        elif qa is None or qb > qa:
+            q, na, nb = qb, 0, cb[ib][1]
+            ib += 1
+        else:
+            q, na, nb = qa, ca[ia][1], cb[ib][1]
+            ia += 1
+            ib += 1
+        if na != nb:
+            if q % 2 == 0:
+                return LESS if na < nb else GREATER
+            return GREATER if na < nb else LESS
+    return EQUAL
+
+
+def add_priority(a: PlayValue, priority: int) -> PlayValue:
+    """Increment the count at ``priority`` by one; infinities pass through."""
+    if a.sign != 0:
+        return a
+    out = []
+    inserted = False
+    for q, c in a.counts:
+        if q == priority:
+            out.append((q, c + 1))
+            inserted = True
+        elif q < priority and not inserted:
+            out.append((priority, 1))
+            out.append((q, c))
+            inserted = True
+        else:
+            out.append((q, c))
+    if not inserted:
+        out.append((priority, 1))
+    return PlayValue(0, tuple(out))
 
 
 class BudgetExceededError(Exception):

@@ -9,17 +9,19 @@ import random
 import time
 
 from conftest import admissible_pair, random_parity_game, random_sink_game
-from sinkgames.families import gen_table1, gen_table2, optimal_table1
-from sinkgames.oracle import (
+from oracle_reference import (
     EnumerationBudget,
+    add_priority,
     brute_force_winners,
+    compare,
     enumerate_optimal_strategy,
 )
+from sinkgames.families import gen_table1, gen_table2, optimal_table1
 
 # the n=5..6 ladder games are wider than the default node cap, but their
 # strategy-pair count stays far below the default pair budget
 _WIDE_BUDGET = EnumerationBudget(max_nodes=14, max_strategies=2**20)
-from sinkgames.playvalues import PlayValue, add_priority, compare
+from sinkgames.playvalues import PlayValue
 from sinkgames.reduction import solve_winners
 from sinkgames.rules import make_rule, switch_all_rule
 from sinkgames.solvers import run_gssi, run_si, run_ssi, verify_optimal

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from conftest import random_parity_game
+from oracle_reference import brute_force_winners
 from sinkgames import cli, traces
 from sinkgames.cli import main
 from sinkgames.families import gen_table1
-from sinkgames.oracle import brute_force_winners
 from sinkgames.pgsolver import parse_pgsolver, write_pgsolver
 from sinkgames.playvalues import ValueCodec
 from sinkgames.reduction import solve_winners

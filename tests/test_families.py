@@ -2,10 +2,9 @@
 
 import pytest
 
+from oracle_reference import compare, enumerate_optimal_strategy
 from sinkgames.families import expected_iterations, gen_table1, gen_table2, optimal_table1
 from sinkgames.game import validate_game
-from sinkgames.oracle import enumerate_optimal_strategy
-from sinkgames.playvalues import compare
 from sinkgames.valuation import is_admissible, valuate
 
 

@@ -5,9 +5,7 @@ import random
 import pytest
 
 from conftest import random_parity_game
-from sinkgames.families import gen_table1
-from sinkgames.game import NodeRecord, ParityGame, Strategy
-from sinkgames.oracle import (
+from oracle_reference import (
     BudgetExceededError,
     EnumerationBudget,
     all_strategies,
@@ -17,6 +15,8 @@ from sinkgames.oracle import (
     is_admissible_bruteforce,
     play_values,
 )
+from sinkgames.families import gen_table1
+from sinkgames.game import NodeRecord, ParityGame, Strategy
 from sinkgames.playvalues import NEG_INF, POS_INF, PlayValue
 
 
@@ -127,7 +127,7 @@ class TestBruteForceWinners:
             w0, w1 = brute_force_winners(game)
             dual_w1 = set()
             sigmas = list(all_strategies(game, 0))
-            from sinkgames.oracle import walk_winner
+            from oracle_reference import walk_winner
 
             for tau in all_strategies(game, 1):
                 wins = set(game.node_ids)

@@ -1,9 +1,11 @@
 """Improvement rule axioms and selection behavior."""
 
 import random
+from functools import cmp_to_key
 
 import pytest
 
+from oracle_reference import compare
 from sinkgames.families import gen_table1
 from sinkgames.rules import (
     RuleContext,
@@ -75,7 +77,8 @@ class TestSwitchAll:
         game = inst.game
         xi_sigma = valuate(game, inst.sigma0)
         a2 = inst.id_of("a2")
-        targets = sorted(game.successors(a2), key=lambda w: xi_sigma.values[w])
+        by_value = cmp_to_key(compare)
+        targets = sorted(game.successors(a2), key=lambda w: by_value(xi_sigma.values[w]))
         worst, best = targets[0], targets[-1]
         ctx = context(game, xi_sigma)
         chosen = switch_all_rule().select(sorted({(a2, worst), (a2, best)}), ctx)

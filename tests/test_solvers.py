@@ -6,9 +6,9 @@ import random
 import pytest
 
 from conftest import admissible_pair, random_parity_game, random_sink_game
+from oracle_reference import enumerate_optimal_strategy
 from sinkgames.families import gen_table1, gen_table2, generate, optimal_table1
 from sinkgames.game import NodeRecord, ParityGame, Strategy
-from sinkgames.oracle import enumerate_optimal_strategy
 from sinkgames.reduction import reduce_game, trivial_strategies
 from sinkgames.rules import make_rule, switch_all_rule
 from sinkgames.solvers import (

@@ -58,6 +58,16 @@ class TestTraceFile:
         _, _, trace = ladder_run
         assert from_json(to_json(trace)) == trace
 
+    @pytest.mark.parametrize("game_id", ["my game.pg", "my\tgame.pg"], ids=["space", "tab"])
+    def test_csv_roundtrip_with_blank_in_game_id(self, ladder_run, game_id):
+        inst, result, trace = ladder_run
+        named = build_trace_file(
+            inst.game, result, game_id, "ssi", "all", 7, certificate=trace.certificate
+        )
+        text = to_csv(named)
+        assert text.startswith(f"# game={game_id} algorithm=ssi rule=all seed=7 ")
+        assert from_csv(text) == named
+
     def test_csv_shape(self, ladder_run):
         _, _, trace = ladder_run
         lines = to_csv(trace).strip().splitlines()
@@ -78,7 +88,7 @@ class TestStrategyFiles:
         text = write_strategy_text(inst.sigma0)
         for line in text.strip().splitlines():
             v, w = line.split()
-            assert inst.game.has_edge(int(v), int(w))
+            assert int(w) in inst.game.successors(int(v))
 
     def test_rejects_mixed_owners(self, ladder_run):
         inst, _, _ = ladder_run
