@@ -211,6 +211,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if path and p not in needed:
             raise InputError(f"run produced no player {p} strategy for --{name}-out")
     game, game_id, sigma0, tau0 = _resolve_solve_inputs(args, needed)
+    if args.trace and args.trace.endswith(".csv") and "\n" in game_id:
+        raise InputError(f"a CSV trace cannot hold the game id {game_id!r}, which has a newline")
     rule = make_rule(args.rule, args.seed)
 
     if args.algo == "si":

@@ -10,11 +10,11 @@ choice, and repeat until no candidate remains:
   under the opponent's valuation instead of the counterstrategy edges.
 
 One loop serves all three. It keeps each piece of per-player state (the
-subgraph arrays, whose ``first`` row is also the strategy, its codes, the
-nodes switched since its last valuation, its improving edges) in a
-two-slot list indexed by ``PLAYER0``/``PLAYER1`` and runs each step once
-per player that has a start strategy: one in single-player improvement,
-both otherwise. Each player's codes are that player's gain (see
+strategy as :meth:`~sinkgames.valuation.GameIndex.strategy_array` holds
+it, its codes, the nodes switched since its last valuation, its improving
+edges) in a two-slot list indexed by ``PLAYER0``/``PLAYER1`` and runs
+each step once per player that has a start strategy: one in
+single-player improvement, both otherwise. Each player's codes are that player's gain (see
 :mod:`sinkgames.valuation`), so no step branches on the player.
 
 The loops rewire both strategies simultaneously from one chosen set per
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from .game import PLAYER0, PLAYER1, ParityGame, Strategy, check_strategy
 from .rules import Edge, ImprovementRule, RuleContext
 from .valuation import (
+    GameIndex,
     Valuation,
     counter_choices,
     game_index,
@@ -108,12 +109,10 @@ class OptimalityCertificate:
         return "; ".join(parts)
 
 
-def _strategy_pair_bound(game: ParityGame, cap: int = 10**12) -> int:
+def _strategy_pair_bound(gi: GameIndex) -> int:
     bound = 1
-    for v in game.node_ids:
-        bound *= max(len(set(game.successors(v))), 1)
-        if bound > cap:
-            return cap
+    for row in gi.succ:
+        bound = min(bound * max(len(row), 1), 10**12)
     return bound
 
 
@@ -133,19 +132,16 @@ def _run_loop(
     # per-player state, indexed by PLAYER0/PLAYER1; the slots of a player
     # without a start strategy stay unused. first[p][v] is p's choice at
     # each node v of p.
-    first: list[list[int] | None] = [None, None]
-    rest: list[list[tuple[int, ...]] | None] = [None, None]
+    first = [None if start is None else gi.strategy_array(start) for start in starts]
     codes: list[list[int] | None] = [None, None]
     # nodes switched since each player's last valuation, whose backward
     # cone is all that the next valuation recomputes
     switched: list[list[int]] = [[], []]
     improving: list[list[tuple[int, int]]] = [[], []]
-    for p in players:
-        first[p], rest[p] = gi.subgraph_arrays(gi.strategy_array(starts[p]), p)
 
     records: list[IterationRecord] = []
     switching = 0
-    bound = _strategy_pair_bound(game)
+    bound = _strategy_pair_bound(gi)
     passes = 0
 
     while True:
@@ -155,7 +151,7 @@ def _run_loop(
 
         for p in players:
             if codes[p] is None or switched[p]:
-                codes[p] = solve_values(gi, first[p], rest[p], p, codes[p], switched[p])
+                codes[p] = solve_values(gi, first[p], p, codes[p], switched[p])
                 switched[p] = []
                 improving[p] = improving_edges(gi, first[p], codes[p], p)
         candidates: list[tuple[int, int]] = []

@@ -77,7 +77,10 @@ def build_trace_file(
 
 
 def to_csv(trace: TraceFile) -> str:
+    """The trace as CSV; a game id holding a newline raises ValueError."""
     h = trace.header
+    if "\n" in h.game_id:
+        raise ValueError(f"a CSV trace cannot hold the game id {h.game_id!r}, which has a newline")
     seed = "-" if h.seed is None else str(h.seed)
     lines = [
         f"# game={h.game_id} algorithm={h.algorithm} rule={h.rule} seed={seed}"
@@ -90,7 +93,8 @@ def to_csv(trace: TraceFile) -> str:
 
 
 def from_csv(text: str) -> TraceFile:
-    lines = [line for line in text.splitlines() if line.strip()]
+    # only LF ends a line, as a game id may hold other breaks; CRLF reads too
+    lines = [line.removesuffix("\r") for line in text.split("\n") if line.strip()]
     if len(lines) < 3 or not lines[0].startswith("#") or not lines[-1].startswith("#"):
         raise ValueError("not a trace CSV: missing header or footer comment lines")
 

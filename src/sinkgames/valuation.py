@@ -51,9 +51,12 @@ class GameIndex:
     """Dense per-game arrays used by the fixpoint engine and solver loops.
 
     Indexes are positions in the ascending node-id order, so index order and
-    id order agree for tie-breaking purposes. It is a cache derived from an
-    immutable game, which :func:`game_index` keeps on the game itself. The
-    index holds no reference to its game, so the two are freed together.
+    id order agree for tie-breaking purposes. A strategy of player p is held
+    as the array of :meth:`strategy_array`, each node's first successor in
+    p's strategy subgraph, and ``rest[p]`` holds the other successors. The
+    index is a cache derived from an immutable game, which
+    :func:`game_index` keeps on the game itself. It holds no reference to
+    its game, so the two are freed together.
     """
 
     __slots__ = (
@@ -61,6 +64,7 @@ class GameIndex:
         "index",
         "owner",
         "succ",
+        "rest",
         "pred",
         "weight",
         "codec",
@@ -100,6 +104,11 @@ class GameIndex:
         self.index = index
         self.owner = owners
         self.succ = succ
+        # rest[p]: each node's successors in p's subgraph after the first
+        self.rest = tuple(
+            [() if who == p else row[1:] for who, row in zip(owners, succ)]
+            for p in (PLAYER0, PLAYER1)
+        )
         self.pred = pred
         # weight[p]: each node's weight in player p's codes, the gain of p
         weight = [codec.weight(q) for q in priorities]
@@ -132,26 +141,10 @@ class GameIndex:
             self._sink_dist = dist
         return self._sink_dist
 
-    def subgraph_arrays(
-        self, strat: list[int | None], player: int
-    ) -> tuple[list[int], list[tuple[int, ...]]]:
-        """Per-node (first, rest) successor split for the strategy subgraph:
-        nodes of ``player`` keep only their chosen edge."""
-        first: list[int] = [0] * len(self.ids)
-        rest: list[tuple[int, ...]] = [()] * len(self.ids)
-        for v in range(len(self.ids)):
-            if self.owner[v] == player:
-                choice = strat[v]
-                assert choice is not None
-                first[v] = choice
-            else:
-                row = self.succ[v]
-                first[v] = row[0]
-                rest[v] = row[1:]
-        return first, rest
-
-    def strategy_array(self, strategy: Strategy) -> list[int | None]:
-        arr: list[int | None] = [None] * len(self.ids)
+    def strategy_array(self, strategy: Strategy) -> list[int]:
+        """Each node's first successor in the strategy's subgraph: the
+        choice at the owner's nodes and ``succ[v][0]`` at the others."""
+        arr = [row[0] for row in self.succ]
         for v, w in strategy.choice.items():
             arr[self.index[v]] = self.index[w]
         return arr
@@ -293,22 +286,22 @@ def successors_first(
 def solve_values(
     gi: GameIndex,
     succ_first: list[int],
-    succ_rest: list[tuple[int, ...]],
     player: int,
     prev: list[int] | None = None,
     switched: Sequence[int] = (),
 ) -> list[int]:
     """Encoded valuation of a strategy subgraph; raises NotAdmissibleError.
 
-    ``succ_first`` and ``succ_rest`` are the arrays of
-    :meth:`GameIndex.subgraph_arrays` for a strategy of ``player``. The
-    codes are that player's gain, player 1's negated, so the opponent
-    takes the least successor code at its nodes whichever player is
-    valued. Without ``prev`` every node but the sink is relaxed (a cold
-    start). ``prev`` resumes from the fixpoint of the same player's
-    admissible strategy before the nodes ``switched`` changed their choice:
-    only their backward cone is relaxed again, while every other node keeps
-    its exact code, since none of its paths crosses a switch.
+    ``succ_first`` is the array of :meth:`GameIndex.strategy_array` for a
+    strategy of ``player``, whose subgraph's other edges are
+    ``gi.rest[player]``. The codes are that player's gain, player 1's
+    negated, so the opponent takes the least successor code at its nodes
+    whichever player is valued. Without ``prev`` every node but the sink is
+    relaxed (a cold start). ``prev`` resumes from the fixpoint of the same
+    player's admissible strategy before the nodes ``switched`` changed
+    their choice: only their backward cone is relaxed again, while every
+    other node keeps its exact code, since none of its paths crosses a
+    switch.
 
     The relaxed nodes are taken in the order of :func:`successors_first`,
     whose DFS starts at the sink's predecessors for a cold start and at the
@@ -335,7 +328,7 @@ def solve_values(
     codes: from there values can creep around a cycle one lap per sweep,
     and the budget would no longer decide it.
     """
-    weight = gi.weight[player]
+    weight, succ_rest = gi.weight[player], gi.rest[player]
     if prev is None:
         sink = gi.sink
         roots = [u for u in gi.pred[player][sink] if succ_first[u] == sink]
@@ -407,8 +400,7 @@ def valuate(game: ParityGame, strategy: Strategy) -> Valuation:
     check_strategy(game, strategy)
     gi = game_index(game)
     player = strategy.player
-    succ_first, succ_rest = gi.subgraph_arrays(gi.strategy_array(strategy), player)
-    return valuation_from_codes(gi, solve_values(gi, succ_first, succ_rest, player), player)
+    return valuation_from_codes(gi, solve_values(gi, gi.strategy_array(strategy), player), player)
 
 
 def is_admissible(game: ParityGame, strategy: Strategy) -> bool:
@@ -426,7 +418,7 @@ def is_admissible(game: ParityGame, strategy: Strategy) -> bool:
 
 
 def improving_edges(
-    gi: GameIndex, strat: Sequence[int | None], codes: Sequence[int], player: int
+    gi: GameIndex, strat: Sequence[int], codes: Sequence[int], player: int
 ) -> list[tuple[int, int]]:
     """The strict-improvement set I as index edges: moves of ``player``
     whose target beats the current choice under the player's own codes."""
@@ -442,7 +434,7 @@ def improving_edges(
 
 def weak_edges(
     edges: list[tuple[int, int]],
-    strat: Sequence[int | None],
+    strat: Sequence[int],
     opponent_codes: Sequence[int],
 ) -> list[tuple[int, int]]:
     """The index edges of ``edges`` in the weak set J: moves whose target

@@ -222,6 +222,45 @@ class TestSolve:
         assert err == "error: --trace file must end in .csv or .json\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_newline_in_game_name_is_rejected_before_a_csv_trace(self, tmp_path, capsys):
+        game_file = tmp_path / "a\nb.pg"
+        game_file.write_text(write_pgsolver(gen_table1(2).game))
+        outputs = [
+            "--sigma-out", str(tmp_path / "sigma.txt"), "--tau-out", str(tmp_path / "tau.txt"),
+        ]
+        code, out, err = run_cli(
+            capsys, "solve", "--algo", "ssi", "--game", str(game_file),
+            "--trace", str(tmp_path / "run.csv"), *outputs,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: a CSV trace cannot hold the game id 'a\\nb.pg', which has a newline\n"
+        assert list(tmp_path.iterdir()) == [game_file]
+        # a JSON trace holds the name
+        json_trace = tmp_path / "run.json"
+        code, _, err = run_cli(
+            capsys, "solve", "--algo", "ssi", "--game", str(game_file),
+            "--trace", str(json_trace), *outputs,
+        )
+        assert (code, err) == (0, "")
+        assert from_json(json_trace.read_text()).header.game_id == "a\nb.pg"
+
+    @pytest.mark.parametrize(
+        "algo, what", [("ssi", "initial player 0 strategy"), ("si", "initial strategy")]
+    )
+    def test_inadmissible_start_file_is_refused(self, tmp_path, capsys, algo, what):
+        # under 1 -> 2 player 1 keeps the pebble on 1 <-> 2, whose top
+        # priority 3 is odd
+        game_file, sigma_file = tmp_path / "g.pg", tmp_path / "sigma0.txt"
+        game_file.write_text(self.NO_DEFAULT_SIGMA)
+        sigma_file.write_text("0 0\n1 2\n4 0\n")
+        code, out, err = run_cli(
+            capsys, "solve", "--algo", algo, "--game", str(game_file), "--sigma0", str(sigma_file)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the {what} is not admissible: valuation fixpoint did not stabilize\n"
+
     @pytest.mark.parametrize(
         "flag, side", [("--sigma0", []), ("--tau0", ["--player", "1"])]
     )

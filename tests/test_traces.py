@@ -68,6 +68,34 @@ class TestTraceFile:
         assert text.startswith(f"# game={game_id} algorithm=ssi rule=all seed=7 ")
         assert from_csv(text) == named
 
+    @pytest.mark.parametrize(
+        "game_id",
+        ["a\rb.pg", "a\x0bb.pg", "a\x0cb.pg", "a\x1cb.pg", "a\x1db.pg", "a\x1eb.pg",
+         "a\x85b.pg", "a\u2028b.pg", "a\u2029b.pg", "a\r"],
+        ids=["cr", "vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps", "trailing-cr"],
+    )
+    def test_csv_roundtrip_with_line_break_in_game_id(self, ladder_run, game_id):
+        # every line break but LF stays inside the header comment, as it
+        # does in a JSON trace
+        inst, result, trace = ladder_run
+        named = build_trace_file(
+            inst.game, result, game_id, "ssi", "all", 7, certificate=trace.certificate
+        )
+        assert from_csv(to_csv(named)) == named == from_json(to_json(named))
+
+    def test_csv_refuses_a_newline_in_game_id(self, ladder_run):
+        inst, result, trace = ladder_run
+        named = build_trace_file(
+            inst.game, result, "a\nb.pg", "ssi", "all", certificate=trace.certificate
+        )
+        with pytest.raises(ValueError, match="cannot hold the game id 'a\\\\nb.pg'"):
+            to_csv(named)
+        assert from_json(to_json(named)) == named
+
+    def test_csv_with_crlf_line_ends(self, ladder_run):
+        _, _, trace = ladder_run
+        assert from_csv(to_csv(trace).replace("\n", "\r\n")) == trace
+
     def test_csv_shape(self, ladder_run):
         _, _, trace = ladder_run
         lines = to_csv(trace).strip().splitlines()

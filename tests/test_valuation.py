@@ -409,9 +409,8 @@ class TestIncrementalRevaluation:
             gi = game_index(game)
             for strategy in pair:
                 player = strategy.player
-                strat = gi.strategy_array(strategy)
-                first, rest = gi.subgraph_arrays(strat, player)
-                prev = solve_values(gi, first, rest, player)
+                first = gi.strategy_array(strategy)
+                prev = solve_values(gi, first, player)
                 movable = [v for v in gi.nodes[player] if len(gi.succ[v]) > 1]
                 if not movable:
                     continue
@@ -420,8 +419,8 @@ class TestIncrementalRevaluation:
                     new_first = list(first)
                     for v in switched:
                         new_first[v] = rng.choice(gi.succ[v])
-                    got = _codes_or_error(gi, new_first, rest, player, prev, switched)
-                    assert got == _codes_or_error(gi, new_first, rest, player)
+                    got = _codes_or_error(gi, new_first, player, prev, switched)
+                    assert got == _codes_or_error(gi, new_first, player)
                     if isinstance(got, str):
                         outcomes["error"] += 1
                         continue
@@ -438,8 +437,8 @@ class TestIncrementalRevaluation:
         inst = gen_table1(4)
         xi = valuate(inst.game, inst.sigma0)
         gi, cold = xi.gi, list(xi.codes)
-        first, rest = gi.subgraph_arrays(gi.strategy_array(inst.sigma0), 0)
-        assert solve_values(gi, first, rest, 0, cold, ()) == cold
+        first = gi.strategy_array(inst.sigma0)
+        assert solve_values(gi, first, 0, cold, ()) == cold
 
     def test_solver_runs_match_cold_valuations(self):
         # every pass of the loops revalues incrementally; the final
@@ -546,32 +545,30 @@ class TestReferenceEngine:
                 own = gi.nodes[player]
                 # random strategies, mostly inadmissible, from a cold start
                 for _ in range(4):
-                    choice = [None] * len(gi.ids)
+                    choice = gi.strategy_array(strategy)
                     for v in own:
                         choice[v] = rng.choice(gi.succ[v])
-                    first, rest = gi.subgraph_arrays(choice, player)
-                    got = _codes_or_error(gi, first, rest, player)
+                    got = _codes_or_error(gi, choice, player)
                     assert got == _gains(player, ref.codes(player, choice))
                     seen["cold error" if isinstance(got, str) else "cold"] += 1
                 # chains of switches from the admissible strategy
                 choice = gi.strategy_array(strategy)
-                first, rest = gi.subgraph_arrays(choice, player)
-                prev = solve_values(gi, first, rest, player)
+                prev = solve_values(gi, choice, player)
                 assert prev == _gains(player, ref.codes(player, choice))
                 movable = [v for v in own if len(gi.succ[v]) > 1]
                 if not movable:
                     continue
                 for _ in range(12):
                     switched = rng.sample(movable, rng.randint(1, min(3, len(movable))))
-                    new_choice, new_first = list(choice), list(first)
+                    new_choice = list(choice)
                     for v in switched:
-                        new_choice[v] = new_first[v] = rng.choice(gi.succ[v])
-                    got = _codes_or_error(gi, new_first, rest, player, prev, switched)
+                        new_choice[v] = rng.choice(gi.succ[v])
+                    got = _codes_or_error(gi, new_choice, player, prev, switched)
                     expected = ref.codes(player, new_choice, _gains(player, prev), switched)
                     assert got == _gains(player, expected)
                     sub = ref.subgraph(player, new_choice)
                     cone = ref.cone(sub, switched)
-                    order, back = successors_first(gi, new_first, player, switched, list(prev))
+                    order, back = successors_first(gi, new_choice, player, switched, list(prev))
                     cyclic = bool(back)
                     assert set(order) == cone - {gi.sink}
                     assert set(back) <= _unpeeled(sub, order)
@@ -585,12 +582,22 @@ class TestReferenceEngine:
                         assert all(
                             position.get(w, -1) < i for i, v in enumerate(order) for w in sub[v]
                         )
-                    choice, first, prev = new_choice, new_first, got
+                    choice, prev = new_choice, got
         assert seen["cold"] > 400
         assert seen["cold error"] > 400
         assert seen["acyclic"] > 1500
         assert seen["cyclic"] > 400
         assert seen["error"] > 400
+
+    def test_index_form_spans_the_strategy_subgraph(self):
+        # a node's first successor and its rest are its successors in the
+        # strategy subgraph, each once, in declaration order
+        for game, pair in _seeded_games(random.Random(199), 40):
+            gi, ref = game_index(game), _reference(game)
+            for strategy in pair:
+                first = gi.strategy_array(strategy)
+                rows = [tuple(dict.fromkeys(row)) for row in ref.subgraph(strategy.player, first)]
+                assert [(w, *rest) for w, rest in zip(first, gi.rest[strategy.player])] == rows
 
     def test_bad_cycle_in_a_later_scc(self):
         # switching 1 to 2 and 3 to 4 leaves the cone {1} <- {3, 4}: the
@@ -604,14 +611,13 @@ class TestReferenceEngine:
         )
         xi = valuate(game, Strategy(0, {0: 0, 1: 0, 3: 1}))
         gi, prev = xi.gi, list(xi.codes)
-        choice = [0, 2, None, 4, None]
-        first, rest = gi.subgraph_arrays(choice, 0)
-        order, back = successors_first(gi, first, 0, [1, 3], list(prev))
+        choice = [0, 2, 0, 4, 3]
+        order, back = successors_first(gi, choice, 0, [1, 3], list(prev))
         assert order[0] == 1 and set(order) == {1, 3, 4} and set(back) <= {3, 4}
         expected = _reference(game).codes(0, choice, prev, [1, 3])
         assert expected == "valuation fixpoint did not stabilize"
-        assert _codes_or_error(gi, first, rest, 0, prev, [1, 3]) == expected
-        assert _codes_or_error(gi, first, rest, 0) == _reference(game).codes(0, choice)
+        assert _codes_or_error(gi, choice, 0, prev, [1, 3]) == expected
+        assert _codes_or_error(gi, choice, 0) == _reference(game).codes(0, choice)
 
     @pytest.mark.parametrize(
         "player, owners, priorities, choice",
@@ -654,11 +660,10 @@ class TestReferenceEngine:
         xi = valuate(game, Strategy(0, {0: 0, 1: 0, 2: 0, 3: 2}))
         gi, prev = xi.gi, list(xi.codes)
         for choice, switched in (([0, 2, 3, 2], [1, 2]), ([0, 0, 3, 2], [2])):
-            first, rest = gi.subgraph_arrays(choice, 0)
             for args in ((), (prev, switched)):
                 expected = ref.codes(0, choice, *args)
                 assert isinstance(expected, str)
-                assert _codes_or_error(gi, first, rest, 0, *args) == expected
+                assert _codes_or_error(gi, choice, 0, *args) == expected
 
     def test_ids_with_gaps_valuate_like_their_relabelling(self):
         # every id goes through the index map, so gaps change nothing
@@ -694,17 +699,16 @@ class TestReferenceEngine:
         for strategy in (sigma, tau):
             choice = gi.strategy_array(strategy)
             player = strategy.player
-            first, rest = gi.subgraph_arrays(choice, player)
             sweeps.clear()
-            cold = solve_values(gi, first, rest, player)
+            cold = solve_values(gi, choice, player)
             assert cold == _gains(player, ref.codes(player, choice))
             # the trivial strategies exit at once: no cycle avoids the sink
             assert sweeps == [(len(gi.ids) - 1, 1)]
             v = next(v for v in gi.nodes[player] if len(gi.succ[v]) > 1)
-            choice[v] = first[v] = next(w for w in gi.succ[v] if w != choice[v])
-            order, back = successors_first(gi, first, player, [v], list(cold))
+            choice[v] = next(w for w in gi.succ[v] if w != choice[v])
+            order, back = successors_first(gi, choice, player, [v], list(cold))
             assert not back
             sweeps.clear()
-            got = _codes_or_error(gi, first, rest, player, cold, [v])
+            got = _codes_or_error(gi, choice, player, cold, [v])
             assert got == _gains(player, ref.codes(player, choice, _gains(player, cold), [v]))
             assert sweeps == [(len(order), 1)]
