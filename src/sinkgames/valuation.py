@@ -28,13 +28,16 @@ postorder puts every node after the nodes it leads to, except along a
 cycle (Tarjan, SIAM J. Comput. 1972). When the DFS meets no cycle, one pass
 in that order is the exact fixpoint. Otherwise the cone restarts from the
 sentinel and is swept in that order until it settles, and the sweep budget
-decides admissibility.
+decides admissibility. After the first sweep a node is relaxed again only
+when one of its successors has changed since its own last relaxation
+(Ramalingam & Reps, J. Algorithms 1996); sweep k still leaves exactly what
+a full sweep k would, so the budget decides as it would for full sweeps.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -79,6 +82,9 @@ class GameIndex:
             raise ValueError("game has no designated sink node")
         ids = game.node_ids
         _, owners, priorities, _, successors = game.columns()
+        if not all(successors):
+            v = next(v for v, row in zip(ids, successors) if not row)
+            raise ValueError(f"node {v} has no successor")
         n = len(ids)
         index = {v: i for i, v in enumerate(ids)}
         # A final value is a sum over a simple path, so every count is at
@@ -110,9 +116,10 @@ class GameIndex:
             for p in (PLAYER0, PLAYER1)
         )
         self.pred = pred
-        # weight[p]: each node's weight in player p's codes, the gain of p
-        weight = [codec.weight(q) for q in priorities]
-        self.weight = (weight, [-x for x in weight])
+        # weight[p]: each node's weight in player p's codes, the gain of p;
+        # nodes of one priority share one int in both arrays
+        negated = {q: -codec.weight(q) for q in codec.priorities}
+        self.weight = ([codec.weight(q) for q in priorities], [negated[q] for q in priorities])
         self.sink = index[game.sink]
         # nodes[p]: the nodes of player p
         self.nodes = tuple(
@@ -200,30 +207,65 @@ def sweep_to_fixpoint(
     succ_first: list[int],
     succ_rest: list[tuple[int, ...]],
     values: list[int],
+    pred: tuple[list[list[int]], list[list[int]]],
+    seeds: Iterable[int],
     max_sweeps: int,
 ) -> bool:
-    """Relax the nodes of ``order``, in that order, in place until a full
-    sweep changes nothing: each node takes its ``weight`` plus the least
-    value among its successors.
+    """Relax the nodes of ``order``, in that order, in place until a sweep
+    changes nothing: each node takes its ``weight`` plus the least value
+    among its successors.
 
-    Returns False when ``max_sweeps`` full sweeps did not stabilize, which
-    for a start from the sentinel means the strategy is not admissible.
+    The first sweep relaxes every node. Later sweeps relax, in the same
+    order, only the nodes marked stale: first the nodes of ``seeds``, which
+    must hold every node that read in the first sweep a value written
+    after it, and then each subgraph predecessor of a node whose value
+    changes. ``pred`` holds the predecessor lists of the valued player's
+    nodes and of the opponent's (of ``gi.pred``); a node of the valued
+    player is a subgraph predecessor only through its ``succ_first`` edge.
+    Any other node's successors are unchanged since its last relaxation,
+    which would give it its own value again, so sweep k leaves exactly the
+    values a full sweep k would leave.
+
+    Returns False when ``max_sweeps`` sweeps did not stabilize, which for a
+    start from the sentinel means the strategy is not admissible.
     """
-    for _ in range(max_sweeps):
-        changed = False
-        for v in order:
-            m = values[succ_first[v]]
-            for w in succ_rest[v]:
-                x = values[w]
-                if x < m:
-                    m = x
-            nv = weight[v] + m
-            if nv != values[v]:
-                values[v] = nv
-                changed = True
+    changed = False
+    for v in order:
+        m = values[succ_first[v]]
+        for w in succ_rest[v]:
+            x = values[w]
+            if x < m:
+                m = x
+        nv = weight[v] + m
+        if nv != values[v]:
+            values[v] = nv
+            changed = True
+    own_pred, opp_pred = pred
+    stale = [False] * len(values)
+    for u in seeds:
+        stale[u] = True
+    for _ in range(max_sweeps - 1):
         if not changed:
             return True
-    return False
+        changed = False
+        for v in order:
+            if stale[v]:
+                stale[v] = False
+                m = values[succ_first[v]]
+                for w in succ_rest[v]:
+                    x = values[w]
+                    if x < m:
+                        m = x
+                nv = weight[v] + m
+                if nv != values[v]:
+                    values[v] = nv
+                    changed = True
+                    for u in opp_pred[v]:
+                        stale[u] = True
+                    for u in own_pred[v]:
+                        if succ_first[u] == v:
+                            stale[u] = True
+    return not changed
 
 
 def successors_first(
@@ -313,9 +355,15 @@ def solve_values(
 
     Otherwise the relaxed nodes, reset to the sentinel, are swept in that
     order, except that a switched node on a cycle moves to the end, until a
-    sweep changes nothing, within |V| sweeps. In any order,
-    after k sweeps each value has taken in every walk of at most k edges
-    that leaves the relaxed nodes. Without a cycle that favours the
+    sweep changes nothing, within |V| sweeps. After the first sweep only a
+    node with a successor changed since its own last relaxation is relaxed
+    again; at the end of the first sweep these are the nodes that read a
+    value written after them: the nodes the DFS's back edges lead to, and
+    the predecessors of a switched node moved to the end. A skipped node
+    would have taken its own value again, so sweep k leaves exactly the
+    values of a full sweep k, and what follows holds as for full sweeps. In
+    any order, after k sweeps each value has taken in every walk of at most k
+    edges that leaves the relaxed nodes. Without a cycle that favours the
     opponent, the opponent's best walk is a simple path, so the values
     settle within |V| sweeps. With one, a settled sweep would be a fixpoint
     along that cycle, which its nonzero weight rules out: a cycle's weight
@@ -329,10 +377,12 @@ def solve_values(
     and the budget would no longer decide it.
     """
     weight, succ_rest = gi.weight[player], gi.rest[player]
+    pred = gi.pred[player], gi.pred[1 - player]
+    own_pred, opp_pred = pred
     if prev is None:
         sink = gi.sink
-        roots = [u for u in gi.pred[player][sink] if succ_first[u] == sink]
-        roots += gi.pred[1 - player][sink]
+        roots = [u for u in own_pred[sink] if succ_first[u] == sink]
+        roots += opp_pred[sink]
         values = [0] * len(gi.ids)
         order, back = successors_first(gi, succ_first, player, roots, values)
         if len(order) < len(gi.ids) - 1:
@@ -344,14 +394,18 @@ def solve_values(
         if back:
             # a switched node that closes a cycle comes first, ahead of the
             # rest of the cycle; relaxed last, it reads their values of the
-            # same sweep
+            # same sweep, and its predecessors now read it before it is
+            # written
             for v in set(switched).intersection(back):
                 order.remove(v)
                 order.append(v)
+                back += [u for u in own_pred[v] if succ_first[u] == v]
+                back += opp_pred[v]
     if not back:
-        sweep_to_fixpoint(weight, order, succ_first, succ_rest, values, 1)
+        sweep_to_fixpoint(weight, order, succ_first, succ_rest, values, pred, (), 1)
         return values
-    if not sweep_to_fixpoint(weight, order, succ_first, succ_rest, values, max(len(gi.ids), 2)):
+    budget = max(len(gi.ids), 2)
+    if not sweep_to_fixpoint(weight, order, succ_first, succ_rest, values, pred, back, budget):
         raise NotAdmissibleError("valuation fixpoint did not stabilize")
     # by the argument above settled values are in range, and so are the
     # values of one acyclic pass; this guards the encoding. Only the swept

@@ -28,9 +28,10 @@ from sinkgames.valuation import (
     j_set,
     solve_values,
     successors_first,
+    sweep_to_fixpoint,
     valuate,
 )
-from valuation_reference import ReferenceGame
+from valuation_reference import ReferenceGame, full_sweeps
 
 
 def pv(mapping):
@@ -712,3 +713,98 @@ class TestReferenceEngine:
             got = _codes_or_error(gi, choice, player, cold, [v])
             assert got == _gains(player, ref.codes(player, choice, _gains(player, cold), [v]))
             assert sweeps == [(len(order), 1)]
+
+
+class TestChangeDrivenSweep:
+    """The change-driven sweep against ``full_sweeps`` of
+    ``valuation_reference``, a frozen copy of the full sweep loop it
+    replaced: on the order, start values and seeds that ``solve_values``
+    gives each cyclic sweep, every budget k from 1 to |V| must give the
+    same verdict and leave the same codes."""
+
+    def test_every_budget_matches_full_sweeps(self, monkeypatch):
+        calls = []
+        seen = dict.fromkeys(
+            ("cold", "cone", "moved", "settled", "unsettled", "budget decides"), 0
+        )
+        real = valuation_module.sweep_to_fixpoint
+
+        def recorded(weight, order, first, rest, values, pred, seeds, max_sweeps):
+            if max_sweeps > 1:
+                calls.append((weight, list(order), first, rest, list(values), pred, list(seeds)))
+            return real(weight, order, first, rest, values, pred, seeds, max_sweeps)
+
+        def check(kind):
+            for weight, order, first, rest, start, pred, seeds in calls:
+                verdicts = []
+                for k in range(1, max(len(start), 2) + 1):
+                    got, expected = list(start), list(start)
+                    verdict = sweep_to_fixpoint(weight, order, first, rest, got, pred, seeds, k)
+                    assert verdict == full_sweeps(weight, order, first, rest, expected, k)
+                    assert got == expected
+                    verdicts.append(verdict)
+                seen[kind] += 1
+                seen["settled" if verdicts[-1] else "unsettled"] += 1
+                if verdicts[-1] and not verdicts[0]:
+                    seen["budget decides"] += 1
+            calls.clear()
+
+        monkeypatch.setattr(valuation_module, "sweep_to_fixpoint", recorded)
+        rng = random.Random(211)
+        for game, pair in _seeded_games(rng, 40):
+            gi = game_index(game)
+            for strategy in pair:
+                player = strategy.player
+                own = gi.nodes[player]
+                for _ in range(3):
+                    choice = gi.strategy_array(strategy)
+                    for v in own:
+                        choice[v] = rng.choice(gi.succ[v])
+                    _codes_or_error(gi, choice, player)
+                    check("cold")
+                choice = gi.strategy_array(strategy)
+                prev = solve_values(gi, choice, player)
+                calls.clear()
+                movable = [v for v in own if len(gi.succ[v]) > 1]
+                for _ in range(6 if movable else 0):
+                    switched = rng.sample(movable, rng.randint(1, min(3, len(movable))))
+                    new_choice = list(choice)
+                    for v in switched:
+                        new_choice[v] = rng.choice(gi.succ[v])
+                    got = _codes_or_error(gi, new_choice, player, prev, switched)
+                    if calls:
+                        _, back = successors_first(gi, new_choice, player, switched, list(prev))
+                        seen["moved"] += bool(set(switched).intersection(back))
+                    check("cone")
+                    if not isinstance(got, str):
+                        choice, prev = new_choice, got
+        assert seen["cold"] > 50
+        assert seen["cone"] > 50
+        assert seen["moved"] > 10
+        assert seen["settled"] > 50
+        assert seen["unsettled"] > 50
+        assert seen["budget decides"] > 50
+
+
+class TestGameIndexBuild:
+    def test_node_without_successor_is_named(self):
+        game = ParityGame.from_columns(
+            [0, 1, 2], [0, 0, 1], [0, 2, 3], [None] * 3, [(0,), (0, 2), ()], 0
+        )
+        with pytest.raises(ValueError, match="^node 2 has no successor$"):
+            valuate(game, Strategy(0, {0: 0, 1: 0}))
+        with pytest.raises(ValueError, match="^node 2 has no successor$"):
+            game_index(game)
+
+    def test_nodes_of_one_priority_share_one_negated_weight(self):
+        game, _ = reduce_game(random_parity_game(random.Random(223), 30, 40))
+        gi = game_index(game)
+        priorities = game.columns()[2]
+        shared = {}
+        for v, q in enumerate(priorities):
+            assert gi.weight[1][v] == -gi.weight[0][v]
+            assert gi.weight[1][v] is shared.setdefault(q, gi.weight[1][v])
+        # outside -5..256 each negation makes a new int object, and many
+        # nodes share such a weight
+        big = [q for q in priorities if not -5 <= shared[q] <= 256]
+        assert len(big) - len(set(big)) > 20

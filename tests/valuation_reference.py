@@ -8,6 +8,10 @@ strategy subgraph and keeps every other value. Games are plain columns
 indexed 0..n-1, and no code is shared with ``sinkgames``, so the engine's
 ordering, its one-pass rule and its integer codes are all checked against
 an independent computation.
+
+``full_sweeps`` keeps the engine's earlier sweep loop, which relaxed every
+node of the order in every sweep, so the change-driven sweep can be checked
+against it on the engine's own orders and start values.
 """
 
 from __future__ import annotations
@@ -102,3 +106,25 @@ class ReferenceGame:
         if out:
             return f"node {self.ids[min(out)]} cannot reach the sink under this strategy"
         return values
+
+
+def full_sweeps(weight, order, succ_first, succ_rest, values, max_sweeps):
+    """Relax every node of ``order``, in that order, in place until a sweep
+    changes nothing: each node takes its ``weight`` plus the least value
+    among ``succ_first[v]`` and ``succ_rest[v]``. False when ``max_sweeps``
+    sweeps did not stabilize."""
+    for _ in range(max_sweeps):
+        changed = False
+        for v in order:
+            m = values[succ_first[v]]
+            for w in succ_rest[v]:
+                x = values[w]
+                if x < m:
+                    m = x
+            nv = weight[v] + m
+            if nv != values[v]:
+                values[v] = nv
+                changed = True
+        if not changed:
+            return True
+    return False
