@@ -253,7 +253,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
     reduced, _ = reduction.reduce_game(game)
-    _write_text(args.out, pgsolver.write_pgsolver(reduced))
+    try:
+        text = pgsolver.write_pgsolver(reduced)
+    except ValueError as exc:
+        raise InputError(f"cannot write the reduced game: {exc}") from exc
+    _write_text(args.out, text)
     return 0
 
 

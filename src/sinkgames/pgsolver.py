@@ -6,14 +6,14 @@ statement per node::
     <id> <priority> <owner> <succ>,<succ>,... ["<label>"];
 
 Statements end with ``;`` and may share lines; spaces, tabs and line
-breaks separate tokens. Numbers are runs of the ASCII digits ``0``-``9``
-only; any other digit is an unexpected character. Owners are 0 or 1 and
-priorities are nonnegative. With a header, no node id may exceed its
-``<max-id>``; without one, ids are unbounded. A label runs to the next
-``"`` on its line, so it may contain ``;`` but not ``"`` or a line break.
-The writer refuses such labels and negative priorities, and otherwise
-emits a canonical form (header, one node per line in ascending id order)
-that parses back to the same in-memory game; the sink designation is
+breaks separate tokens. Numbers are runs of at most MAX_DIGITS (4,300) of
+the ASCII digits ``0``-``9``; any other digit is an unexpected character.
+Owners are 0 or 1 and priorities are nonnegative. With a header, no node id
+may exceed its ``<max-id>``. A label runs to the next ``"`` on its line, so
+it may contain ``;`` but not ``"`` or a line break. The writer refuses such
+labels, negative priorities and longer numbers, and otherwise emits a
+canonical form (header, one node per line in ascending id order) that
+parses back to the same in-memory game; the sink designation is
 re-inferred on parse.
 """
 
@@ -24,15 +24,22 @@ from typing import NoReturn
 
 from .game import ParityGame, sink_of
 
+# The most digits of a number: the parser's own cap, so that every Python
+# refuses the same files, set to the default int() limit of Python 3.11.
+MAX_DIGITS = 4300
+_NUMBER_END = 10**MAX_DIGITS  # the least number with more digits
+
 # One node statement after any empty ones: id, priority, owner, successor
 # list, optional label. Numbers that follow each other need a space between
-# them; anything else may touch.
+# them; anything else may touch. A longer number fails the match, and
+# _reject names it.
+_NAT = f"[0-9]{{1,{MAX_DIGITS}}}"
 _NODE = re.compile(
-    r'[ \t\r\n;]*([0-9]+)[ \t\r\n]+([0-9]+)[ \t\r\n]+([01])[ \t\r\n]+'
-    r'([0-9]+(?:[ \t\r\n]*,[ \t\r\n]*[0-9]+)*)[ \t\r\n]*(?:"([^"\n]*)"[ \t\r\n]*)?;',
+    rf'[ \t\r\n;]*({_NAT})[ \t\r\n]+({_NAT})[ \t\r\n]+([01])[ \t\r\n]+'
+    rf'({_NAT}(?:[ \t\r\n]*,[ \t\r\n]*{_NAT})*)[ \t\r\n]*(?:"([^"\n]*)"[ \t\r\n]*)?;',
     re.ASCII,
 )
-_HEADER = re.compile(r"[ \t\r\n;]*parity[ \t\r\n]+([0-9]+)[ \t\r\n]*;", re.ASCII)
+_HEADER = re.compile(rf"[ \t\r\n;]*parity[ \t\r\n]+({_NAT})[ \t\r\n]*;", re.ASCII)
 _BLANK = re.compile(r"[ \t\r\n;]*")
 # Error path only. Words are Unicode (letter or "_", then str.isalnum or
 # "_"), but only ASCII digits make a number.
@@ -60,7 +67,8 @@ def _error(text: str, message: str, offset: int) -> ParseError:
 
 def _tokens(text: str, start: int) -> list[Token]:
     """The tokens of ``text`` from ``start`` on; raises at the first
-    character no token starts with and at an unterminated label."""
+    character no token starts with, at an unterminated label and at a
+    number of more than MAX_DIGITS digits."""
     tokens = []
     for m in _TOKEN.finditer(text, start):
         kind = m.lastgroup
@@ -70,6 +78,8 @@ def _tokens(text: str, start: int) -> list[Token]:
             raise _error(text, "unterminated label string", at)
         if kind == "char" or kind == "word" and not (value[0].isalpha() or value[0] == "_"):
             raise _error(text, f"unexpected character {text[at]!r}", at)
+        if kind == "nat" and len(value) > MAX_DIGITS:
+            raise _error(text, f"number has more than {MAX_DIGITS} digits", at)
         if kind == "string":
             at -= 1
         tokens.append((kind, value, at, m.end(kind)))
@@ -83,8 +93,9 @@ def _reject(
     refused it, or its id is a duplicate or above the header's maximum.
 
     Errors come in the order a tokenize-everything parser finds them: a bad
-    character or an unterminated statement anywhere after ``start`` wins
-    over a fault of this statement.
+    character, an unterminated label, a number that is too long or an
+    unterminated statement anywhere after ``start`` wins over a fault of
+    this statement.
     """
     statements: list[list[Token]] = []
     current: list[Token] = []
@@ -170,9 +181,12 @@ def parse_pgsolver(text: str) -> ParityGame:
 
 def write_pgsolver(game: ParityGame) -> str:
     """Canonical text form: ascending node ids, adjacency order preserved,
-    labels quoted. Priorities must be nonnegative, and labels must hold
-    neither ``"`` nor a line break, or the text would not parse back."""
+    labels quoted. Priorities must be nonnegative, ids and priorities must
+    have at most MAX_DIGITS digits, and labels must hold neither ``"`` nor
+    a line break, or the text would not parse back."""
     ids, owners, priorities, labels, rows = game.columns()
+    if max(ids) >= _NUMBER_END or max(priorities) >= _NUMBER_END:
+        raise ValueError(f"a node id or priority has more than {MAX_DIGITS} digits")
     lines = [f"parity {max(ids)};"]
     for v, owner, priority, label, row in zip(ids, owners, priorities, labels, rows):
         if priority < 0:

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .game import ParityGame, Strategy, check_strategy
+from .pgsolver import MAX_DIGITS
 from .solvers import SolveResult, verify_optimal
 from .valuation import improving_moves, valuate
 
@@ -159,6 +160,9 @@ def parse_strategy_text(text: str, game: ParityGame) -> Strategy:
             continue
         if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise ValueError(f"strategy line {lineno} must be '<node-id> <successor-id>'")
+        if max(map(len, parts)) > MAX_DIGITS:
+            message = f"strategy line {lineno} has a number of more than {MAX_DIGITS} digits"
+            raise ValueError(message)
         v, w = int(parts[0]), int(parts[1])
         if v in choice:
             raise ValueError(f"strategy line {lineno} repeats node {v}")

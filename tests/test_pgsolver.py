@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ import pgsolver_reference as reference
 from conftest import random_parity_game
 from sinkgames.families import gen_table1, gen_table2
 from sinkgames.game import NodeRecord, ParityGame, validate_game
-from sinkgames.pgsolver import ParseError, parse_pgsolver, write_pgsolver
+from sinkgames.pgsolver import MAX_DIGITS, ParseError, parse_pgsolver, write_pgsolver
 from sinkgames.reduction import reduce_game
 
 HAND_ENCODED = 'parity 3; 0 3 0 1,3; 1 4 1 1,3 "d1"; 2 1 0 2; 3 6 1 2;'
@@ -101,6 +102,63 @@ class TestHeaderBound:
 
     def test_without_a_header_ids_are_unbounded(self):
         assert parse_pgsolver("12345 2 0 12345;").node_ids == (12345,)
+
+
+LONG = "1" * (MAX_DIGITS + 1)
+MOST = "9" * MAX_DIGITS
+
+
+class TestDigitCap:
+    """Numbers have at most MAX_DIGITS digits, checked by the parser and
+    not by ``int()``, so that every supported Python refuses the same
+    files, at the number, as the reference does."""
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            (f"parity {LONG};\n0 1 0 0;\n", 1, 8),
+            (f"0 1 0 0;\n{LONG} 2 0 0;\n", 2, 1),
+            (f"parity 1;\n0 {LONG} 0 1;\n1 3 1 0;\n", 2, 3),
+            (f"parity 1;\n0 1 0 1,{LONG};\n1 3 1 0;\n", 2, 9),
+            (f"0 1 0 0{LONG};\n", 1, 7),
+        ],
+        ids=["header", "node-id", "priority", "successor", "leading-digits"],
+    )
+    def test_a_longer_number_is_refused_where_it_starts(self, text, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_pgsolver(text)
+        assert str(err.value) == f"number has more than 4300 digits (line {line}, column {column})"
+        assert _outcome(reference.parse_pgsolver, text) == _outcome(parse_pgsolver, text)
+
+    def test_the_cap_holds_whatever_the_interpreter_limit(self):
+        # with Python's own limit off (or absent, before 3.10.7), the parser
+        # still refuses
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(ParseError, match="number has more than 4300 digits"):
+                parse_pgsolver(f"0 {LONG} 0 0;")
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+    def test_numbers_of_the_most_digits_parse(self):
+        game = parse_pgsolver(f"parity {MOST};\n{MOST} {MOST} 0 {'0' * 4299}1,{MOST};\n1 2 1 1;\n")
+        assert game.node_ids == (1, int(MOST))
+        assert game.priority(int(MOST)) == int(MOST)
+        assert game.successors(int(MOST)) == (1, int(MOST))
+
+    def test_a_number_that_would_not_parse_back_is_not_written(self):
+        refusal = "^a node id or priority has more than 4300 digits$"
+        with pytest.raises(ValueError, match=refusal):
+            write_pgsolver(ParityGame.from_columns([10**4300], [0], [1], [None], [(10**4300,)], None))
+        with pytest.raises(ValueError, match=refusal):
+            write_pgsolver(ParityGame.from_columns([0], [0], [10**4300], [None], [(0,)], None))
+        top = int(MOST)
+        game = ParityGame.from_columns([top], [0], [top], [None], [(top,)], None)
+        text = write_pgsolver(game)
+        assert write_pgsolver(parse_pgsolver(text)) == text
 
 
 class TestWrite:
@@ -213,6 +271,15 @@ def mutated_texts(draw) -> str:
     return text[:at] + char + text[at + 1:]
 
 
+@st.composite
+def long_digit_texts(draw) -> str:
+    """A valid text with a run of about MAX_DIGITS digits inserted."""
+    text = draw(valid_texts())
+    at = draw(st.integers(0, len(text)))
+    run = draw(st.sampled_from("019")) * (MAX_DIGITS + draw(st.integers(-2, 1)))
+    return text[:at] + run + text[at:]
+
+
 def _outcome(parse, text):
     try:
         return ("game", parse(text))
@@ -252,6 +319,14 @@ class TestAgainstReference:
             old = _outcome(reference.parse_pgsolver, text)
         except ValueError as exc:  # the reference's int() on a non-ASCII digit
             old = ("crash", str(exc))
+        if new != old:
+            assert new[0] == "error" and _deliberate(text, new), (new, old)
+
+    @settings(max_examples=100, deadline=None)
+    @given(long_digit_texts())
+    def test_same_outcome_with_a_long_digit_run(self, text):
+        new = _outcome(parse_pgsolver, text)
+        old = _outcome(reference.parse_pgsolver, text)
         if new != old:
             assert new[0] == "error" and _deliberate(text, new), (new, old)
 

@@ -685,42 +685,57 @@ class TestReferenceEngine:
                 assert game_index(gapped).sink_dist == game_index(game).sink_dist
 
     def test_acyclic_cone_takes_one_pass(self, monkeypatch):
+        # each solve_values call sweeps once with the |V| budget; without a
+        # back edge its first sweep relaxes every node once and the
+        # confirming sweep relaxes none
         game, rmap = reduce_game(random_parity_game(random.Random(193), 40, 40))
         sigma, tau = trivial_strategies(game, rmap)
         gi = game_index(game)
         ref = _reference(game)
+        budget = max(len(gi.ids), 2)
         sweeps = []
+        relaxed = []
         real = valuation_module.sweep_to_fixpoint
 
+        class CountedWeight(list):
+            def __getitem__(self, v):
+                relaxed.append(v)
+                return super().__getitem__(v)
+
         def counted(weight, order, *args):
-            sweeps.append((len(order), args[-1]))
-            return real(weight, order, *args)
+            sweeps.append(args[-1])
+            return real(CountedWeight(weight), order, *args)
 
         monkeypatch.setattr(valuation_module, "sweep_to_fixpoint", counted)
         for strategy in (sigma, tau):
             choice = gi.strategy_array(strategy)
             player = strategy.player
             sweeps.clear()
+            relaxed.clear()
             cold = solve_values(gi, choice, player)
             assert cold == _gains(player, ref.codes(player, choice))
             # the trivial strategies exit at once: no cycle avoids the sink
-            assert sweeps == [(len(gi.ids) - 1, 1)]
+            assert sweeps == [budget]
+            assert sorted(relaxed) == [v for v in range(len(gi.ids)) if v != gi.sink]
             v = next(v for v in gi.nodes[player] if len(gi.succ[v]) > 1)
             choice[v] = next(w for w in gi.succ[v] if w != choice[v])
             order, back = successors_first(gi, choice, player, [v], list(cold))
             assert not back
             sweeps.clear()
+            relaxed.clear()
             got = _codes_or_error(gi, choice, player, cold, [v])
             assert got == _gains(player, ref.codes(player, choice, _gains(player, cold), [v]))
-            assert sweeps == [(len(order), 1)]
+            assert sweeps == [budget]
+            assert sorted(relaxed) == sorted(order)
 
 
 class TestChangeDrivenSweep:
     """The change-driven sweep against ``full_sweeps`` of
     ``valuation_reference``, a frozen copy of the full sweep loop it
-    replaced: on the order, start values and seeds that ``solve_values``
-    gives each cyclic sweep, every budget k from 1 to |V| must give the
-    same verdict and leave the same codes."""
+    replaced: on the order, start values and seeds (the DFS's back edges)
+    that ``solve_values`` gives each sweep, every budget k from 1 to |V|
+    must give the same verdict and leave the same codes. ``moved`` counts
+    the cones whose switched node closes a cycle."""
 
     def test_every_budget_matches_full_sweeps(self, monkeypatch):
         calls = []
@@ -730,8 +745,7 @@ class TestChangeDrivenSweep:
         real = valuation_module.sweep_to_fixpoint
 
         def recorded(weight, order, first, rest, values, pred, seeds, max_sweeps):
-            if max_sweeps > 1:
-                calls.append((weight, list(order), first, rest, list(values), pred, list(seeds)))
+            calls.append((weight, list(order), first, rest, list(values), pred, list(seeds)))
             return real(weight, order, first, rest, values, pred, seeds, max_sweeps)
 
         def check(kind):
@@ -772,9 +786,8 @@ class TestChangeDrivenSweep:
                     for v in switched:
                         new_choice[v] = rng.choice(gi.succ[v])
                     got = _codes_or_error(gi, new_choice, player, prev, switched)
-                    if calls:
-                        _, back = successors_first(gi, new_choice, player, switched, list(prev))
-                        seen["moved"] += bool(set(switched).intersection(back))
+                    _, back = successors_first(gi, new_choice, player, switched, list(prev))
+                    seen["moved"] += bool(set(switched).intersection(back))
                     check("cone")
                     if not isinstance(got, str):
                         choice, prev = new_choice, got
