@@ -20,7 +20,8 @@ re-inferred on parse.
 from __future__ import annotations
 
 import re
-from typing import NoReturn
+import sys
+from typing import Callable, NoReturn
 
 from .game import ParityGame, sink_of
 
@@ -28,6 +29,9 @@ from .game import ParityGame, sink_of
 # refuses the same files, set to the default int() limit of Python 3.11.
 MAX_DIGITS = 4300
 _NUMBER_END = 10**MAX_DIGITS  # the least number with more digits
+# int() refuses a run of more digits than sys.get_int_max_str_digits(),
+# which a caller may lower as far as 640; runs of at most 640 it always reads
+_SAFE_DIGITS = 640
 
 # One node statement after any empty ones: id, priority, owner, successor
 # list, optional label. Numbers that follow each other need a space between
@@ -49,6 +53,22 @@ _TOKEN = re.compile(
 )
 
 Token = tuple[str, str, int, int]  # kind, value, start offset, end offset
+
+
+def _int_in_runs(digits: str) -> int:
+    n = 0
+    for i in range(0, len(digits), _SAFE_DIGITS):
+        run = digits[i : i + _SAFE_DIGITS]
+        n = n * 10 ** len(run) + int(run)
+    return n
+
+
+def int_reader() -> Callable[[str], int]:
+    """The conversion of a run of ASCII digits: ``int`` where the current
+    digit limit admits MAX_DIGITS digits, else one that reads the run 640
+    digits at a time, so that every number the format allows converts."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return int if limit == 0 or limit >= MAX_DIGITS else _int_in_runs
 
 
 class ParseError(Exception):
@@ -122,7 +142,7 @@ def _reject(
             raise _error(text, f"expected {what}, found {token[1]!r}", token[2])
         return token
 
-    node_id = int(expect(0, "nat", "node id")[1])
+    node_id = _int_in_runs(expect(0, "nat", "node id")[1])
     if node_id in seen:
         raise _error(text, f"duplicate node id {node_id}", at)
     if max_id is not None and node_id > max_id:
@@ -150,14 +170,15 @@ def parse_pgsolver(text: str) -> ParityGame:
     offending node id (duplicates, ids above the header's maximum,
     dangling successors).
     """
+    to_int = int_reader()
     statements: list[tuple[str, ...]] = []  # priority, owner, successors, label
     seen: dict[int, int] = {}  # node id -> offset of the id, in file order
     header = _HEADER.match(text)
-    max_id = int(header[1]) if header else None
+    max_id = to_int(header[1]) if header else None
     pos = header.end() if header else 0
     match = _NODE.match
     while (m := match(text, pos)) is not None:
-        node_id = int(m[1])
+        node_id = to_int(m[1])
         if node_id in seen or max_id is not None and node_id > max_id:
             break
         seen[node_id] = m.start(1)
@@ -169,12 +190,12 @@ def parse_pgsolver(text: str) -> ParityGame:
         raise ParseError("no node statements" if text.strip(" \t\r\n") else "empty input", 1, 1)
     ids = list(seen)
     priorities, owners, succs, labels = zip(*statements)
-    rows = [tuple(map(int, row.split(","))) for row in succs]
+    rows = [tuple(map(to_int, row.split(","))) for row in succs]
     if not seen.keys() >= set().union(*rows):
         node_id, w = next((v, w) for v, row in zip(ids, rows) for w in row if w not in seen)
         message = f"node {node_id} lists successor {w} which is not a node"
         raise _error(text, message, seen[node_id])
-    owners, priorities = list(map(int, owners)), list(map(int, priorities))
+    owners, priorities = list(map(int, owners)), list(map(to_int, priorities))
     sink = sink_of(ids, priorities, rows)
     return ParityGame.from_columns(ids, owners, priorities, labels, rows, sink=sink)
 

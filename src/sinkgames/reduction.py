@@ -142,15 +142,21 @@ def extract_winners(
     first.
 
     An original node belongs to player 0's winning set exactly when the
-    optimal play from it passes ``w`` once. Strategy choices that exit to
-    the sink or ``w`` have no original counterpart and are omitted; on the
-    winning regions the optimal choices never exit.
+    optimal play from it passes ``w`` once, which its code shows by one
+    comparison. Strategy choices that exit to the sink or ``w`` have no
+    original counterpart and are omitted; on the winning regions the
+    optimal choices never exit.
     """
     certificate = verify_optimal(reduced, sigma, tau)
     if not certificate.ok:
         raise SolverInvariantError(f"strategies are not optimal: {certificate.describe()}")
+    # pw is the top priority and only w has it, so a simple path passes it
+    # at most once, and every lower digit together weighs less than half
+    # its weight: the value takes w exactly when its code is above that half
     xi = certificate.xi_sigma
-    w0 = frozenset(v for v in rmap.original_ids if xi.count(v, rmap.pw) == 1)
+    codes, index = xi.codes, xi.gi.index
+    half = xi.gi.codec.weight(rmap.pw) // 2
+    w0 = frozenset(v for v in rmap.original_ids if codes[index[v]] > half)
     w1 = rmap.original_ids - w0
 
     def compose(choice: dict[int, int]) -> dict[int, int]:

@@ -5,7 +5,11 @@ choice, and repeat until no candidate remains:
 
 * single-player improvement: candidates are the player's improving moves;
 * symmetric improvement: each player's improving moves are filtered to the
-  edges of the opponent's optimal counterstrategy;
+  edges of the opponent's optimal counterstrategy, which
+  :func:`~sinkgames.valuation.counter_choices` reads off the opponent's
+  codes: these are always a fixpoint of
+  :func:`~sinkgames.valuation.solve_values`, so the least successor code at
+  any node but the sink is the node's own code less its weight;
 * generalized symmetric improvement: the filter is the weak candidate set
   under the opponent's valuation instead of the counterstrategy edges.
 
@@ -160,9 +164,7 @@ def _run_loop(
             if mode == SI:
                 candidates += improving[p]
             elif mode == SSI:
-                # a source with several improving edges may be listed twice
-                best = counter_choices(gi, codes[q], [v for v, _ in improving[p]])
-                candidates += [e for e in improving[p] if best[e[0]] == e[1]]
+                candidates += counter_choices(gi, codes[q], q, improving[p])
             else:  # GSSI
                 candidates += weak_edges(improving[p], first[p], codes[q])
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .game import ParityGame, Strategy, check_strategy
-from .pgsolver import MAX_DIGITS
+from .pgsolver import MAX_DIGITS, int_reader
 from .solvers import SolveResult, verify_optimal
 from .valuation import improving_moves, valuate
 
@@ -151,6 +151,7 @@ def write_strategy_text(strategy: Strategy) -> str:
 def parse_strategy_text(text: str, game: ParityGame) -> Strategy:
     """Read a strategy file against a game; the owning player is inferred
     from the listed nodes and the choice map must be total for that player."""
+    to_int = int_reader()
     choice: dict[int, int] = {}
     # lines end in LF or CRLF, and only spaces and tabs separate tokens
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -163,7 +164,7 @@ def parse_strategy_text(text: str, game: ParityGame) -> Strategy:
         if max(map(len, parts)) > MAX_DIGITS:
             message = f"strategy line {lineno} has a number of more than {MAX_DIGITS} digits"
             raise ValueError(message)
-        v, w = int(parts[0]), int(parts[1])
+        v, w = to_int(parts[0]), to_int(parts[1])
         if v in choice:
             raise ValueError(f"strategy line {lineno} repeats node {v}")
         choice[v] = w

@@ -178,10 +178,16 @@ class Valuation:
 
     @cached_property
     def counter(self) -> Strategy:
-        """The opponent's tie-break-deterministic best response."""
+        """The opponent's tie-break-deterministic best response: at each
+        opponent node the successor of least code, smallest id on ties.
+        It is read off the fixpoint equations by :func:`counter_choices`,
+        so ``codes`` must be a fixpoint of :func:`solve_values`, as every
+        valuation the library builds is."""
         gi = self.gi
-        choice = counter_choices(gi, self.codes, gi.nodes[1 - self.player])
-        return Strategy(1 - self.player, {gi.ids[v]: gi.ids[w] for v, w in choice.items()})
+        edges = [(v, w) for v in gi.nodes[1 - self.player] for w in gi.succ[v]]
+        choice = counter_choices(gi, self.codes, self.player, edges)
+        ids = gi.ids
+        return Strategy(1 - self.player, {ids[v]: ids[w] for v, w in choice})
 
     def count(self, v: int, priority: int) -> int:
         """How often ``priority`` occurs in node ``v``'s value, read off its
@@ -394,20 +400,33 @@ def solve_values(
     return values
 
 
-def counter_choices(gi: GameIndex, values: Sequence[int], nodes: Sequence[int]) -> dict[int, int]:
-    """Opponent-optimal successor per node (index-keyed): the least code of
-    the valued player, smallest node id on ties."""
-    out: dict[int, int] = {}
-    for v in nodes:
-        best = None
-        best_x = 0
-        for w in gi.succ[v]:
-            x = values[w]
-            if best is None or x < best_x or (x == best_x and w < best):
-                best = w
-                best_x = x
-        assert best is not None
-        out[v] = best
+def counter_choices(
+    gi: GameIndex, codes: Sequence[int], player: int, edges: Iterable[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The index edges of ``edges``, out of nodes of ``player``'s opponent,
+    that are the opponent's optimal response to the fixpoint ``codes`` of
+    ``player``: the least code of the successors, smallest node id on ties.
+
+    The least code is read off the fixpoint equation of :func:`solve_values`,
+    ``codes[v] = weight[v] + min(codes[u] for u in succ[v])``, which holds at
+    every opponent node but the sink, whose code is fixed at 0 and whose
+    least successor code is taken directly. So only an edge that attains
+    it needs a scan of its source's successors for a smaller id.
+    """
+    weight, succ, sink = gi.weight[player], gi.succ, gi.sink
+    out = []
+    for v, w in edges:
+        x = codes[w]
+        if v == sink:
+            if x != min([codes[u] for u in succ[v]]):
+                continue
+        elif x != codes[v] - weight[v]:
+            continue
+        for u in succ[v]:
+            if u < w and codes[u] == x:
+                break
+        else:
+            out.append((v, w))
     return out
 
 

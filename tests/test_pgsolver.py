@@ -13,6 +13,7 @@ from sinkgames.families import gen_table1, gen_table2
 from sinkgames.game import NodeRecord, ParityGame, validate_game
 from sinkgames.pgsolver import MAX_DIGITS, ParseError, parse_pgsolver, write_pgsolver
 from sinkgames.reduction import reduce_game
+from sinkgames.traces import parse_strategy_text
 
 HAND_ENCODED = 'parity 3; 0 3 0 1,3; 1 4 1 1,3 "d1"; 2 1 0 2; 3 6 1 2;'
 
@@ -148,6 +149,25 @@ class TestDigitCap:
         assert game.node_ids == (1, int(MOST))
         assert game.priority(int(MOST)) == int(MOST)
         assert game.successors(int(MOST)) == (1, int(MOST))
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no interpreter digit limit"
+    )
+    def test_numbers_of_the_most_digits_parse_under_a_lowered_limit(self):
+        # 640 is the least limit Python accepts; int(MOST) needs the default
+        top, mid = int(MOST), int("7" * 2000)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            text = f"parity {MOST};\n{MOST} {'7' * 2000} 0 1,{MOST};\n1 2 1 1;\n"
+            game = parse_pgsolver(text)
+            strategy = parse_strategy_text(f"{MOST} {'0' * 10}1\n", game)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert game.node_ids == (1, top)
+        assert game.priority(top) == mid
+        assert game.successors(top) == (1, top)
+        assert strategy.choice == {top: 1}
 
     def test_a_number_that_would_not_parse_back_is_not_written(self):
         refusal = "^a node id or priority has more than 4300 digits$"

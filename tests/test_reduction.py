@@ -30,6 +30,7 @@ from sinkgames.valuation import is_admissible, valuate
 from reduction_reference import two_step_reduction
 from test_pgsolver import valid_texts
 from winning_check import winning_problems
+from zielonka_reference import winning_regions
 
 
 class TestBreakCycles:
@@ -274,6 +275,31 @@ class TestWinningStrategies:
         assert winning_problems(owner, priority, successors, {0, 1, 2}, set(), {}, {}) == [
             "W0 holds a cycle through 1 with top priority of parity 1"
         ]
+
+
+def _drawn_game(rng: random.Random, n: int) -> tuple[dict, dict, dict]:
+    """A game of ``n`` nodes with uniform owners, priorities in 0..2n and
+    1-3 distinct successors per node, drawn from ``rng``."""
+    heads = [(rng.randint(0, 1), rng.randint(0, 2 * n)) for _ in range(n)]
+    successors = {v: tuple(rng.sample(range(n), rng.randint(1, min(3, n)))) for v in range(n)}
+    return dict(enumerate(o for o, _ in heads)), dict(enumerate(q for _, q in heads)), successors
+
+
+class TestZielonkaReference:
+    """``solve_winners`` against Zielonka's algorithm, which shares no code
+    with it, on games far past the brute-force oracle's reach; every result
+    also passes ``winning_check``."""
+
+    def test_winners_match_on_seeded_games(self):
+        games = [_drawn_game(rng, rng.randint(5, 400)) for rng in map(random.Random, range(200))]
+        games.append(_drawn_game(random.Random("large/1600"), 1600))
+        both_won = 0
+        for game in games:
+            result = _checked_winners(*game)
+            w0, w1 = winning_regions(*game)
+            assert (set(result.w0), set(result.w1)) == (w0, w1)
+            both_won += bool(w0) and bool(w1)
+        assert both_won > 150
 
 
 class TestBestResponse:

@@ -333,6 +333,56 @@ class TestEncodedFilters:
         assert with_mismatch > 20
 
 
+def _scanned_counter(xi):
+    """The opponent's best response to ``xi``, found by scanning every
+    successor of every opponent node, the sink included: the least code,
+    smallest id on ties."""
+    gi, codes = xi.gi, xi.codes
+    return {
+        gi.ids[v]: gi.ids[min(gi.succ[v], key=lambda w: (codes[w], gi.ids[w]))]
+        for v in range(len(gi.ids))
+        if gi.owner[v] != xi.player
+    }
+
+
+class TestCounterReference:
+    """``Valuation.counter`` reads the response off the fixpoint equations;
+    a scan of every successor must find the same one at every opponent
+    node. The sink, which is never relaxed, is the node where the equation
+    does not hold."""
+
+    @staticmethod
+    def check(xi):
+        expected = _scanned_counter(xi)
+        assert xi.counter.choice == expected
+        return xi.gi.ids[xi.gi.sink] in expected
+
+    def test_seeded_reduced_games(self):
+        rng = random.Random(191)
+        sink_owned = 0
+        for _ in range(40):
+            game, rmap = reduce_game(random_parity_game(rng, min_nodes=8, max_nodes=24))
+            for strategy in trivial_strategies(game, rmap):
+                sink_owned += self.check(valuate(game, strategy))
+        # the reduced sink belongs to player 0, so every tau valuation
+        # puts it among the opponent's nodes
+        assert sink_owned == 40
+
+    def test_table_instances(self):
+        for inst in (gen_table1(1), gen_table1(5), gen_table2(1), gen_table2(3)):
+            for strategy in (inst.sigma0, inst.tau0):
+                self.check(valuate(inst.game, strategy))
+
+    def test_sink_with_an_edge_to_another_node(self):
+        game = ParityGame.from_columns(
+            [0, 1, 2], [0, 1, 0], [1, 3, 2], [None] * 3, [(1, 0), (0, 2), (1, 0)], sink=0
+        )
+        for strategy in (Strategy(0, {0: 1, 2: 0}), Strategy(1, {1: 0})):
+            xi = valuate(game, strategy)
+            sink_owned = self.check(xi)
+            assert sink_owned == (strategy.player == 1)
+
+
 def _live_indexes():
     return sum(isinstance(obj, GameIndex) for obj in gc.get_objects())
 
