@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import deque
 from pathlib import Path
 
 from . import families, pgsolver, reduction, traces
 from .game import PLAYER0, PLAYER1, ParityGame, Strategy, validate_game
 from .rules import make_rule
 from .solvers import SolverInvariantError, run_gssi, run_si, run_ssi
-from .valuation import NotAdmissibleError, game_index, is_admissible, valuate
+from .valuation import GameIndex, NotAdmissibleError, game_index, is_admissible, valuate
 
 
 class InputError(Exception):
@@ -118,16 +119,34 @@ def _load_game(path: str) -> ParityGame:
     return pgsolver.parse_pgsolver(_read_text(path))
 
 
+def _distances_to_sink(gi: GameIndex) -> list[int]:
+    """Each node's edge distance to the sink in the game graph, by a BFS
+    over reversed edges; ``len(gi.ids)`` where the sink is unreachable."""
+    n = len(gi.ids)
+    dist = [n] * n
+    dist[gi.sink] = 0
+    queue = deque([gi.sink])
+    while queue:
+        w = queue.popleft()
+        for preds in (gi.pred[0][w], gi.pred[1][w]):
+            for v in preds:
+                if dist[v] == n:
+                    dist[v] = dist[w] + 1
+                    queue.append(v)
+    return dist
+
+
 def _default_strategy(game: ParityGame, player: int) -> Strategy:
     """An admissible starting strategy found by simple sink-seeking
     heuristics; admissibility is checked, not assumed."""
     gi = game_index(game)
+    dist = _distances_to_sink(gi)
 
     def greedy(tie_high: bool) -> Strategy:
         choice = {}
         for v in game.nodes_of(player):
             succs = game.successors(v)
-            key = lambda w: (gi.sink_dist[gi.index[w]], -w if tie_high else w)
+            key = lambda w: (dist[gi.index[w]], -w if tie_high else w)
             choice[v] = min(succs, key=key)
         return Strategy(player, choice)
 
@@ -214,14 +233,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace and args.trace.endswith(".csv") and "\n" in game_id:
         raise InputError(f"a CSV trace cannot hold the game id {game_id!r}, which has a newline")
     rule = make_rule(args.rule, args.seed)
+    # a default start has passed is_admissible already; only the family's
+    # and those read from a file are checked here
+    given = [args.family or path for path in (args.sigma0, args.tau0)]
 
     if args.algo == "si":
         start = sigma0 if player == PLAYER0 else tau0
-        _check_admissible(game, start, "the initial strategy")
+        if given[player]:
+            _check_admissible(game, start, "the initial strategy")
         result = run_si(game, start, rule)
     else:
-        _check_admissible(game, sigma0, "the initial player 0 strategy")
-        _check_admissible(game, tau0, "the initial player 1 strategy")
+        if given[PLAYER0]:
+            _check_admissible(game, sigma0, "the initial player 0 strategy")
+        if given[PLAYER1]:
+            _check_admissible(game, tau0, "the initial player 1 strategy")
         runner = run_ssi if args.algo == "ssi" else run_gssi
         result = runner(game, sigma0, tau0, rule)
 

@@ -112,20 +112,6 @@ class ValueCodec:
             total += self._weights[q] * c
         return total
 
-    def digit(self, code: int, priority: int) -> int:
-        """The count of ``priority`` in the finite value encoded by ``code``,
-        read without decoding the other priorities."""
-        w = abs(self._weights[priority])
-        high, rem = divmod(code, w)
-        # as in decode: the lower-rank terms round away, leaving the signed
-        # digit at this rank in the centred residue modulo base
-        if 2 * rem > w:
-            high += 1
-        d = high % self.base
-        if 2 * d > self.base:
-            d -= self.base
-        return d if priority % 2 == 0 else -d
-
     def decode(self, code: int) -> PlayValue:
         if code == self.pos_code:
             return POS_INF

@@ -34,7 +34,6 @@ once.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -70,7 +69,6 @@ class GameIndex:
         "weight",
         "codec",
         "sink",
-        "_sink_dist",
         "nodes",
         "finite_bound",
     )
@@ -124,27 +122,6 @@ class GameIndex:
             tuple(v for v, who in enumerate(owners) if who == p) for p in (PLAYER0, PLAYER1)
         )
         self.finite_bound = 2 * codec.base ** len(codec.priorities)
-        self._sink_dist: list[int] | None = None
-
-    @property
-    def sink_dist(self) -> list[int]:
-        """Each node's edge distance to the sink in the game graph, by a BFS
-        over reversed edges on first use; ``len(ids)`` where the sink is
-        unreachable."""
-        if self._sink_dist is None:
-            n = len(self.ids)
-            dist = [n] * n
-            dist[self.sink] = 0
-            queue = deque([self.sink])
-            while queue:
-                w = queue.popleft()
-                for preds in (self.pred[0][w], self.pred[1][w]):
-                    for v in preds:
-                        if dist[v] == n:
-                            dist[v] = dist[w] + 1
-                            queue.append(v)
-            self._sink_dist = dist
-        return self._sink_dist
 
     def strategy_array(self, strategy: Strategy) -> list[int]:
         """Each node's first successor in the strategy's subgraph: the
@@ -188,12 +165,6 @@ class Valuation:
         choice = counter_choices(gi, self.codes, self.player, edges)
         ids = gi.ids
         return Strategy(1 - self.player, {ids[v]: ids[w] for v, w in choice})
-
-    def count(self, v: int, priority: int) -> int:
-        """How often ``priority`` occurs in node ``v``'s value, read off its
-        code without decoding it."""
-        code = self.codes[self.gi.index[v]]
-        return self.gi.codec.digit(code if self.player == PLAYER0 else -code, priority)
 
 
 def game_index(game: ParityGame) -> GameIndex:
@@ -352,24 +323,28 @@ def solve_values(
     The relaxed nodes, reset to the sentinel, are swept in the order of
     :func:`successors_first`, whose DFS starts at the sink's predecessors
     for a cold start and at the switched nodes for a cone, until a sweep
-    changes nothing, within |V| sweeps. The seeds of
-    :func:`sweep_to_fixpoint` are the nodes the DFS's back edges lead to,
-    the only ones that read a value written after them; without a back edge
-    the first sweep is the exact fixpoint and the second relaxes nothing.
-    Sweep k leaves the values of a full sweep k, and in any order these
-    have taken in every walk of at most k edges that leaves the relaxed
-    nodes. Without a cycle that favours the opponent, the opponent's best
-    walk is a simple path, so the values settle within |V| sweeps. With
-    one, a settled sweep would be a fixpoint along that cycle, which its
-    nonzero weight rules out: a cycle's weight is a sum of signed powers of
-    the codec base with fewer than base/2 of each. So the budget decides
-    admissibility whatever the order. The same holds for nodes without a
-    path to the sink, which lead to a cycle without one: a cold start that
-    misses such a node fails at once, as the sweeps would. Settled values
-    are checked to be in range, as a guard of the encoding. The cone is
-    never warm-started from its old codes: from there values can creep
-    around a cycle one lap per sweep, and the budget would no longer decide
-    it.
+    changes nothing, within ``len(back) + 2`` sweeps but no more than
+    ``max(|V|, 2)``. The seeds of :func:`sweep_to_fixpoint` are the nodes
+    the DFS's back edges lead to: in reverse postorder those edges are the
+    only ones whose source is relaxed before its target, so these nodes
+    alone read a value written after them. Sweep k leaves the values of a
+    full sweep k, which have taken in every walk that leaves the relaxed
+    nodes along at most k - 1 back edges, and which fall from the sentinel
+    but never below a fixpoint. Without a cycle that favours the opponent,
+    the opponent's best walk is a simple path, which takes each back edge
+    at most once and fewer than |V| edges in all, so the values settle by
+    sweep ``len(back) + 1`` and by sweep |V| - 1, and the next sweep
+    confirms it; without a back edge the first sweep is the exact fixpoint
+    and the second relaxes nothing. With such a cycle, a settled sweep
+    would be a fixpoint along it, which its nonzero weight rules out: a
+    cycle's weight is a sum of signed powers of the codec base with fewer
+    than base/2 of each. So the budget decides admissibility whatever the
+    order. The same holds for nodes without a path to the sink, which lead
+    to a cycle without one: a cold start that misses such a node fails at
+    once, as the sweeps would. Settled values are checked to be in range,
+    as a guard of the encoding. The cone is never warm-started from its
+    old codes: from there values can creep around a cycle one lap per
+    sweep, and the budget would no longer decide it.
     """
     weight, succ_rest = gi.weight[player], gi.rest[player]
     pred = gi.pred[player], gi.pred[1 - player]
@@ -384,7 +359,7 @@ def solve_values(
     else:
         values = list(prev)
         order, back = successors_first(gi, succ_first, player, switched, values)
-    budget = max(len(gi.ids), 2)
+    budget = min(max(len(gi.ids), 2), len(back) + 2)
     if not sweep_to_fixpoint(weight, order, succ_first, succ_rest, values, pred, back, budget):
         raise NotAdmissibleError("valuation fixpoint did not stabilize")
     # by the argument above settled values are in range, so this check,

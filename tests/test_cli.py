@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import os
 import random
@@ -11,14 +12,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_parity_game
+from conftest import random_parity_game, random_sink_game
 from oracle_reference import brute_force_winners
 from sinkgames import cli, traces
+from sinkgames import valuation as valuation_module
 from sinkgames.cli import main
 from sinkgames.families import gen_table1
+from sinkgames.game import NodeRecord, ParityGame
 from sinkgames.pgsolver import MAX_DIGITS, parse_pgsolver, write_pgsolver
 from sinkgames.playvalues import ValueCodec
-from sinkgames.reduction import solve_winners
+from sinkgames.reduction import reduce_game, solve_winners
 from sinkgames.traces import from_csv, from_json, parse_strategy_text
 
 
@@ -328,6 +331,92 @@ class TestSolve:
         assert out == ""
         assert err == f"error: run produced no player {player} strategy for {flag}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+def _loose_sink_game(rng):
+    """A sink game whose nodes need not reach the sink, so that a default
+    start can fail at either greedy."""
+    n = rng.randint(4, 10)
+    nodes = [NodeRecord(0, 0, 0, None)]
+    nodes += [NodeRecord(i, rng.randint(0, 1), rng.randint(1, 2 * n), None) for i in range(1, n)]
+    edges = {0: (0,)}
+    for i in range(1, n):
+        edges[i] = tuple(rng.sample(range(n), rng.randint(1, 3)))
+    return ParityGame(nodes, edges, sink=0)
+
+
+def _relabelled(game):
+    """The game with each id v moved to 3v + 5, which keeps the id order."""
+    relabel = {v: 3 * v + 5 for v in game.node_ids}
+    ids, owners, priorities, labels, successors = game.columns()
+    return ParityGame.from_columns(
+        [relabel[v] for v in ids], owners, priorities, labels,
+        [[relabel[w] for w in succs] for succs in successors], relabel[game.sink],
+    )
+
+
+class TestDefaultStarts:
+    def test_default_starts_match_recorded_digest(self):
+        # reductions, sink games whose nodes all exit to the sink, and sink
+        # games whose nodes need not reach it, each also with gapped ids;
+        # the digest was recorded when the sink distances were still kept
+        # on the game index
+        rng = random.Random(229)
+        rows = []
+        for i in range(40):
+            if i % 3 == 0:
+                game, _ = reduce_game(random_parity_game(rng, min_nodes=8, max_nodes=24))
+            elif i % 3 == 1:
+                game = random_sink_game(rng, max_nodes=10)
+            else:
+                game = _loose_sink_game(rng)
+            for g in (game, _relabelled(game)):
+                for p in (0, 1):
+                    try:
+                        rows.append(sorted(cli._default_strategy(g, p).choice.items()))
+                    except cli.InputError as exc:
+                        rows.append(str(exc))
+        assert sum(isinstance(row, str) for row in rows) == 36
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "bc2b7c37af17d73678e144819f452c21b7521f87a2bd1baacfac43eab4a54a4f"
+
+    @pytest.mark.parametrize(
+        "flags, before",
+        [
+            (("--algo", "ssi", "--game", "{game}"), 2),
+            (("--algo", "si", "--game", "{game}"), 1),
+            (("--algo", "ssi", "--family", "table1", "--n", "3"), 2),
+        ],
+        ids=["ssi-defaults", "si-default", "ssi-family"],
+    )
+    def test_each_start_is_valued_once_before_the_run(
+        self, tmp_path, capsys, monkeypatch, flags, before
+    ):
+        # a default start has passed is_admissible, so only the family's
+        # starts are checked again
+        calls = []
+        solve = valuation_module.solve_values
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        runs = []
+
+        def recorded(real):
+            def run(*args):
+                runs.append(len(calls))
+                return real(*args)
+            return run
+
+        monkeypatch.setattr(valuation_module, "solve_values", counted)
+        monkeypatch.setattr(cli, "run_ssi", recorded(cli.run_ssi))
+        monkeypatch.setattr(cli, "run_si", recorded(cli.run_si))
+        game_file = tmp_path / "g.pg"
+        game_file.write_text(write_pgsolver(gen_table1(3).game))
+        code, out, err = run_cli(capsys, "solve", *(f.format(game=game_file) for f in flags))
+        assert (code, err) == (0, "")
+        assert runs == [before]
 
 
 class TestReduce:

@@ -12,6 +12,7 @@ from conftest import (
     random_sink_game,
 )
 from oracle_reference import compare, enumerate_optimal_response, play_values
+from sinkgames.cli import _distances_to_sink
 from sinkgames.families import gen_table1, gen_table2
 from sinkgames.game import NodeRecord, ParityGame, Strategy
 from sinkgames.playvalues import PlayValue
@@ -535,15 +536,6 @@ class TestCodecBase:
                     assert all(0 < c <= n for _, c in value.counts)
                     assert gi.codec.encode(value) == sign * xi.codes[gi.index[v]]
 
-    def test_count_matches_the_decoded_value(self):
-        # count reads one digit straight off a code, so it must undo player
-        # 1's sign on its own
-        for game, valuations in self._valuations():
-            priorities = sorted(set(game.columns()[2]))
-            for xi in valuations:
-                for v in game.node_ids:
-                    assert all(xi.count(v, q) == xi.values[v].count(q) for q in priorities)
-
 
 def _reference(game):
     ids, owners, priorities, _, successors = game.columns()
@@ -732,17 +724,17 @@ class TestReferenceEngine:
                     strategy.player, {relabel[v]: relabel[w] for v, w in strategy.choice.items()}
                 )
                 assert valuate(gapped, moved).codes == valuate(game, strategy).codes
-                assert game_index(gapped).sink_dist == game_index(game).sink_dist
+                gapped_dist = _distances_to_sink(game_index(gapped))
+                assert gapped_dist == _distances_to_sink(game_index(game))
 
     def test_acyclic_cone_takes_one_pass(self, monkeypatch):
-        # each solve_values call sweeps once with the |V| budget; without a
-        # back edge its first sweep relaxes every node once and the
-        # confirming sweep relaxes none
+        # each solve_values call sweeps once; without a back edge its budget
+        # is 2 sweeps, the first relaxes every node once and the confirming
+        # sweep relaxes none
         game, rmap = reduce_game(random_parity_game(random.Random(193), 40, 40))
         sigma, tau = trivial_strategies(game, rmap)
         gi = game_index(game)
         ref = _reference(game)
-        budget = max(len(gi.ids), 2)
         sweeps = []
         relaxed = []
         real = valuation_module.sweep_to_fixpoint
@@ -765,7 +757,7 @@ class TestReferenceEngine:
             cold = solve_values(gi, choice, player)
             assert cold == _gains(player, ref.codes(player, choice))
             # the trivial strategies exit at once: no cycle avoids the sink
-            assert sweeps == [budget]
+            assert sweeps == [2]
             assert sorted(relaxed) == [v for v in range(len(gi.ids)) if v != gi.sink]
             v = next(v for v in gi.nodes[player] if len(gi.succ[v]) > 1)
             choice[v] = next(w for w in gi.succ[v] if w != choice[v])
@@ -775,8 +767,60 @@ class TestReferenceEngine:
             relaxed.clear()
             got = _codes_or_error(gi, choice, player, cold, [v])
             assert got == _gains(player, ref.codes(player, choice, _gains(player, cold), [v]))
-            assert sweeps == [budget]
+            assert sweeps == [2]
             assert sorted(relaxed) == sorted(order)
+
+    def test_back_edge_budget_decides_like_the_node_budget(self, monkeypatch):
+        # solve_values allows len(back) + 2 sweeps, at most max(|V|, 2):
+        # seeded cold starts and cones, many of them inadmissible, must give
+        # the same codes or the same error under the budget max(|V|, 2)
+        real = valuation_module.sweep_to_fixpoint
+        budgets = []
+
+        def recorded(*args):
+            budgets.append((args[-1], max(len(args[4]), 2)))
+            return real(*args)
+
+        def node_budget(*args):
+            return real(*args[:-1], max(len(args[4]), 2))
+
+        refused_sooner = 0
+
+        def both(*args):
+            nonlocal refused_sooner
+            budgets.clear()
+            monkeypatch.setattr(valuation_module, "sweep_to_fixpoint", recorded)
+            got = _codes_or_error(*args)
+            monkeypatch.setattr(valuation_module, "sweep_to_fixpoint", node_budget)
+            assert _codes_or_error(*args) == got
+            if budgets:
+                new, old = budgets[0]
+                refused_sooner += isinstance(got, str) and new < old
+            return got
+
+        rng = random.Random(227)
+        for game, pair in _seeded_games(rng, 40):
+            gi = game_index(game)
+            for strategy in pair:
+                player = strategy.player
+                own = gi.nodes[player]
+                for _ in range(3):
+                    choice = gi.strategy_array(strategy)
+                    for v in own:
+                        choice[v] = rng.choice(gi.succ[v])
+                    both(gi, choice, player)
+                choice = gi.strategy_array(strategy)
+                prev = solve_values(gi, choice, player)
+                movable = [v for v in own if len(gi.succ[v]) > 1]
+                for _ in range(6 if movable else 0):
+                    switched = rng.sample(movable, rng.randint(1, min(3, len(movable))))
+                    new_choice = list(choice)
+                    for v in switched:
+                        new_choice[v] = rng.choice(gi.succ[v])
+                    got = both(gi, new_choice, player, prev, switched)
+                    if not isinstance(got, str):
+                        choice, prev = new_choice, got
+        assert refused_sooner > 50
 
 
 class TestChangeDrivenSweep:
