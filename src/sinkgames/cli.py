@@ -233,9 +233,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace and args.trace.endswith(".csv") and "\n" in game_id:
         raise InputError(f"a CSV trace cannot hold the game id {game_id!r}, which has a newline")
     rule = make_rule(args.rule, args.seed)
-    # a default start has passed is_admissible already; only the family's
-    # and those read from a file are checked here
-    given = [args.family or path for path in (args.sigma0, args.tau0)]
+    # only starts read from a file are checked here: a default start has
+    # passed is_admissible already, and a family's is admissible by
+    # construction (were it not, the run's first valuation would exit 3)
+    given = (args.sigma0, args.tau0)
 
     if args.algo == "si":
         start = sigma0 if player == PLAYER0 else tau0

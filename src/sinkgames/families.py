@@ -5,32 +5,51 @@ Both families are ladders of n levels ending in a low-priority self-loop
 sink and a highest-even-priority node just before it. The ``table1`` family
 uses one node pair per level; the ``table2`` family replaces each pair with
 an eight-node gadget whose detour nodes make locally attractive switches
-look insignificant. Node ids are assigned ladder-first (a-chain, then
-d-chain, then gadget nodes level by level) so that id-based tie-breaks, and
-therefore published traces, are reproducible.
+look insignificant. Each family is one table of ``(label, owner, priority,
+successor labels)`` rows listed in id order: the a-chain, then the d-chain,
+then the gadget nodes level by level. Row k is node k, so id-based
+tie-breaks, and therefore published traces, are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import PLAYER0, PLAYER1, NodeRecord, ParityGame, Strategy
+from .game import PLAYER0, PLAYER1, ParityGame, Strategy
 
 
 @dataclass(frozen=True)
 class LabeledInstance:
-    """A generated game with role labels and its canonical start strategies."""
+    """A generated game, whose labels name the nodes' roles, and its
+    canonical start strategies."""
 
     game: ParityGame
     sigma0: Strategy
     tau0: Strategy
-    labels: dict[int, str]
 
     def id_of(self, label: str) -> int:
-        for v, name in self.labels.items():
-            if name == label:
+        for v in self.game.node_ids:
+            if self.game.label(v) == label:
                 return v
         raise KeyError(label)
+
+
+def _build(
+    n: int, rows: list[tuple[str, int, int, tuple[str, ...]]], start: dict[str, str]
+) -> LabeledInstance:
+    """Number the rows 0, 1, ... and build the game with sink a{n+1}. A
+    row's start choice is ``start[label]``, else its first successor."""
+    if n < 1:
+        raise ValueError(f"family size must be at least 1, got {n}")
+    labels, owners, priorities, succs = zip(*rows)
+    ids = {label: v for v, label in enumerate(labels)}
+    edges = [tuple(ids[w] for w in row) for row in succs]
+    sink = ids[f"a{n + 1}"]
+    game = ParityGame.from_columns(range(len(rows)), owners, priorities, labels, edges, sink=sink)
+    choice: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for v, (label, owner, _, row) in enumerate(rows):
+        choice[owner][v] = ids[start.get(label, row[0])]
+    return LabeledInstance(game, Strategy(PLAYER0, choice[0]), Strategy(PLAYER1, choice[1]))
 
 
 def gen_table1(n: int) -> LabeledInstance:
@@ -41,47 +60,22 @@ def gen_table1(n: int) -> LabeledInstance:
     ladder start. a_{n+1} is the sink, d_{n+1} carries the game's highest,
     even priority. Start strategies walk each chain forward.
     """
-    if n < 1:
-        raise ValueError(f"family size must be at least 1, got {n}")
-    a = {i: i - 1 for i in range(1, n + 2)}  # a_1..a_{n+1} -> ids 0..n
-    d = {i: n + i for i in range(1, n + 2)}  # d_1..d_{n+1} -> ids n+1..2n+1
-    nodes = []
-    edges: dict[int, tuple[int, ...]] = {}
-    labels: dict[int, str] = {}
-
-    def add(node_id: int, owner: int, priority: int, succs: tuple[int, ...], label: str):
-        nodes.append(NodeRecord(node_id, owner, priority, label))
-        edges[node_id] = succs
-        labels[node_id] = label
-
-    add(a[1], PLAYER0, 3, (a[2], d[2]), "a1")
-    for i in range(2, n + 1):
-        add(a[i], PLAYER0, 2 * i + 1, (a[1], a[i + 1], d[i + 1]), f"a{i}")
-    add(a[n + 1], PLAYER0, 1, (a[n + 1],), f"a{n + 1}")
-    add(d[1], PLAYER1, 4, (a[2], d[2]), "d1")
-    for i in range(2, n + 1):
-        add(d[i], PLAYER1, 2 * i + 2, (d[1], a[i + 1], d[i + 1]), f"d{i}")
-    add(d[n + 1], PLAYER1, 2 * n + 4, (a[n + 1],), f"d{n + 1}")
-
-    game = ParityGame(nodes, edges, sink=a[n + 1])
-    sigma0 = Strategy(PLAYER0, {a[i]: a[i + 1] for i in range(1, n + 1)} | {a[n + 1]: a[n + 1]})
-    tau0 = Strategy(PLAYER1, {d[i]: d[i + 1] for i in range(1, n + 1)} | {d[n + 1]: a[n + 1]})
-    return LabeledInstance(game, sigma0, tau0, labels)
+    levels = range(1, n + 1)
+    up = {i: (f"a{i + 1}", f"d{i + 1}") for i in levels}
+    rows = [(f"a{i}", PLAYER0, 2 * i + 1, ("a1",) * (i > 1) + up[i]) for i in levels]
+    rows.append((f"a{n + 1}", PLAYER0, 1, (f"a{n + 1}",)))
+    rows += [(f"d{i}", PLAYER1, 2 * i + 2, ("d1",) * (i > 1) + up[i]) for i in levels]
+    rows.append((f"d{n + 1}", PLAYER1, 2 * n + 4, (f"a{n + 1}",)))
+    start = {f"a{i}": up[i][0] for i in levels} | {f"d{i}": up[i][1] for i in levels}
+    return _build(n, rows, start)
 
 
 def optimal_table1(n: int) -> tuple[Strategy, Strategy]:
     """The unique optimal pair of the ladder family in closed form: each
     player walks their chain and diverts at the last level."""
     inst = gen_table1(n)
-    a = {i: inst.id_of(f"a{i}") for i in range(1, n + 2)}
-    d = {i: inst.id_of(f"d{i}") for i in range(1, n + 2)}
-    sigma = {a[i]: a[i + 1] for i in range(1, n)}
-    sigma[a[n]] = d[n + 1]
-    sigma[a[n + 1]] = a[n + 1]
-    tau = {d[i]: d[i + 1] for i in range(1, n)}
-    tau[d[n]] = a[n + 1]
-    tau[d[n + 1]] = a[n + 1]
-    return Strategy(PLAYER0, sigma), Strategy(PLAYER1, tau)
+    a_n, d_n, a_top, d_top = map(inst.id_of, (f"a{n}", f"d{n}", f"a{n + 1}", f"d{n + 1}"))
+    return inst.sigma0.rewired([(a_n, d_top)]), inst.tau0.rewired([(d_n, a_top)])
 
 
 def gen_table2(n: int) -> LabeledInstance:
@@ -91,70 +85,29 @@ def gen_table2(n: int) -> LabeledInstance:
     comparisons; gadget nodes stay below N. Back-edges to the ladder start
     exist only on levels above the first.
     """
-    if n < 1:
-        raise ValueError(f"family size must be at least 1, got {n}")
+    levels = range(1, n + 1)
     big = 16 * n + 16
-    a = {i: i - 1 for i in range(1, n + 2)}
-    d = {i: n + i for i in range(1, n + 2)}
-    gadget_base = 2 * n + 2
-    roles = ("c", "e", "m", "f", "g", "k", "h", "l")
-    gadget: dict[tuple[str, int], int] = {}
-    for i in range(1, n + 1):
-        for slot, role in enumerate(roles):
-            gadget[(role, i)] = gadget_base + 8 * (i - 1) + slot
-
-    nodes = []
-    edges: dict[int, tuple[int, ...]] = {}
-    labels: dict[int, str] = {}
-
-    def add(node_id: int, owner: int, priority: int, succs: tuple[int, ...], label: str):
-        nodes.append(NodeRecord(node_id, owner, priority, label))
-        edges[node_id] = succs
-        labels[node_id] = label
-
-    c = {i: gadget[("c", i)] for i in range(1, n + 1)}
-    e = {i: gadget[("e", i)] for i in range(1, n + 1)}
-    m = {i: gadget[("m", i)] for i in range(1, n + 1)}
-    f = {i: gadget[("f", i)] for i in range(1, n + 1)}
-    g = {i: gadget[("g", i)] for i in range(1, n + 1)}
-    k = {i: gadget[("k", i)] for i in range(1, n + 1)}
-    h = {i: gadget[("h", i)] for i in range(1, n + 1)}
-    l = {i: gadget[("l", i)] for i in range(1, n + 1)}
-
-    for i in range(1, n + 1):
-        add(a[i], PLAYER0, big + 2 * i - 1, (c[i],), f"a{i}")
-        add(d[i], PLAYER1, big + 2 * i, (h[i],), f"d{i}")
-    add(a[n + 1], PLAYER0, 1, (a[n + 1],), f"a{n + 1}")
-    add(d[n + 1], PLAYER1, big + 2 * n + 2, (a[n + 1],), f"d{n + 1}")
-    for i in range(1, n + 1):
-        back_a = (a[1],) if i > 1 else ()
-        back_d = (d[1],) if i > 1 else ()
-        add(c[i], PLAYER0, 14 * i + 1, (e[i], m[i]) + back_a, f"c{i}")
-        add(m[i], PLAYER0, 14 * i + 3, (f[i], c[i]) + back_a, f"m{i}")
-        add(e[i], PLAYER1, 14 * i + 4, (m[i], a[i + 1]), f"e{i}")
-        add(f[i], PLAYER1, 14 * i + 6, (c[i], d[i + 1]), f"f{i}")
-        add(g[i], PLAYER1, 14 * i + 8, (k[i], h[i]) + back_d, f"g{i}")
-        add(h[i], PLAYER1, 14 * i + 10, (l[i], g[i]) + back_d, f"h{i}")
-        add(k[i], PLAYER0, 14 * i + 11, (h[i], a[i + 1]), f"k{i}")
-        add(l[i], PLAYER0, 14 * i + 13, (g[i], d[i + 1]), f"l{i}")
-
-    game = ParityGame(nodes, edges, sink=a[n + 1])
-    sigma_choice = {a[n + 1]: a[n + 1]}
-    tau_choice = {d[n + 1]: a[n + 1]}
-    for i in range(1, n + 1):
-        sigma_choice[a[i]] = c[i]
-        sigma_choice[c[i]] = e[i]
-        sigma_choice[m[i]] = c[i]
-        sigma_choice[k[i]] = a[i + 1]
-        sigma_choice[l[i]] = d[i + 1]
-        tau_choice[d[i]] = h[i]
-        tau_choice[g[i]] = h[i]
-        tau_choice[h[i]] = l[i]
-        tau_choice[e[i]] = a[i + 1]
-        tau_choice[f[i]] = d[i + 1]
-    sigma0 = Strategy(PLAYER0, sigma_choice)
-    tau0 = Strategy(PLAYER1, tau_choice)
-    return LabeledInstance(game, sigma0, tau0, labels)
+    rows = [(f"a{i}", PLAYER0, big + 2 * i - 1, (f"c{i}",)) for i in levels]
+    rows.append((f"a{n + 1}", PLAYER0, 1, (f"a{n + 1}",)))
+    rows += [(f"d{i}", PLAYER1, big + 2 * i, (f"h{i}",)) for i in levels]
+    rows.append((f"d{n + 1}", PLAYER1, big + 2 * n + 2, (f"a{n + 1}",)))
+    start: dict[str, str] = {}
+    for i in levels:
+        c, e, m, f, g, k, h, l = (role + str(i) for role in "cemfgkhl")
+        a_up, d_up = f"a{i + 1}", f"d{i + 1}"
+        back_a, back_d = ("a1",) * (i > 1), ("d1",) * (i > 1)
+        rows += [
+            (c, PLAYER0, 14 * i + 1, (e, m) + back_a),
+            (e, PLAYER1, 14 * i + 4, (m, a_up)),
+            (m, PLAYER0, 14 * i + 3, (f, c) + back_a),
+            (f, PLAYER1, 14 * i + 6, (c, d_up)),
+            (g, PLAYER1, 14 * i + 8, (k, h) + back_d),
+            (k, PLAYER0, 14 * i + 11, (h, a_up)),
+            (h, PLAYER1, 14 * i + 10, (l, g) + back_d),
+            (l, PLAYER0, 14 * i + 13, (g, d_up)),
+        ]
+        start |= {m: c, k: a_up, l: d_up, g: h, e: a_up, f: d_up}
+    return _build(n, rows, start)
 
 
 def generate(family: str, n: int) -> LabeledInstance:

@@ -32,6 +32,7 @@ _NUMBER_END = 10**MAX_DIGITS  # the least number with more digits
 # int() refuses a run of more digits than sys.get_int_max_str_digits(),
 # which a caller may lower as far as 640; runs of at most 640 it always reads
 _SAFE_DIGITS = 640
+_RUN_END = 10**_SAFE_DIGITS
 
 # One node statement after any empty ones: id, priority, owner, successor
 # list, optional label. Numbers that follow each other need a space between
@@ -61,6 +62,16 @@ def _int_in_runs(digits: str) -> int:
         run = digits[i : i + _SAFE_DIGITS]
         n = n * 10 ** len(run) + int(run)
     return n
+
+
+def int_text(n: int) -> str:
+    """``str(n)`` for a nonnegative n under any digit limit: the inverse of
+    reading a number 640 digits at a time."""
+    runs = []
+    while n >= _RUN_END:
+        n, run = divmod(n, _RUN_END)
+        runs.append(f"{run:0{_SAFE_DIGITS}d}")
+    return str(n) + "".join(reversed(runs))
 
 
 def int_reader() -> Callable[[str], int]:
@@ -144,9 +155,10 @@ def _reject(
 
     node_id = _int_in_runs(expect(0, "nat", "node id")[1])
     if node_id in seen:
-        raise _error(text, f"duplicate node id {node_id}", at)
+        raise _error(text, f"duplicate node id {int_text(node_id)}", at)
     if max_id is not None and node_id > max_id:
-        raise _error(text, f"node id {node_id} exceeds the header's maximum {max_id}", at)
+        message = f"node id {int_text(node_id)} exceeds the header's maximum {int_text(max_id)}"
+        raise _error(text, message, at)
     expect(1, "nat", "priority")
     owner = expect(2, "nat", "owner (0 or 1)")
     if owner[1] not in ("0", "1"):
@@ -193,7 +205,7 @@ def parse_pgsolver(text: str) -> ParityGame:
     rows = [tuple(map(to_int, row.split(","))) for row in succs]
     if not seen.keys() >= set().union(*rows):
         node_id, w = next((v, w) for v, row in zip(ids, rows) for w in row if w not in seen)
-        message = f"node {node_id} lists successor {w} which is not a node"
+        message = f"node {int_text(node_id)} lists successor {int_text(w)} which is not a node"
         raise _error(text, message, seen[node_id])
     owners, priorities = list(map(int, owners)), list(map(to_int, priorities))
     sink = sink_of(ids, priorities, rows)

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .game import ParityGame, Strategy, check_strategy
-from .pgsolver import MAX_DIGITS, int_reader
+from .pgsolver import MAX_DIGITS, int_reader, int_text
 from .solvers import SolveResult, verify_optimal
 from .valuation import improving_moves, valuate
 
@@ -166,13 +166,13 @@ def parse_strategy_text(text: str, game: ParityGame) -> Strategy:
             raise ValueError(message)
         v, w = to_int(parts[0]), to_int(parts[1])
         if v in choice:
-            raise ValueError(f"strategy line {lineno} repeats node {v}")
+            raise ValueError(f"strategy line {lineno} repeats node {int_text(v)}")
         choice[v] = w
     if not choice:
         raise ValueError("strategy file lists no choices")
     for v in choice:
         if v not in game:
-            raise ValueError(f"strategy names node {v} which is not in the game")
+            raise ValueError(f"strategy names node {int_text(v)} which is not in the game")
     owners = {game.owner(v) for v in choice}
     if len(owners) != 1:
         raise ValueError("strategy file mixes nodes of both players")

@@ -385,15 +385,15 @@ class TestDefaultStarts:
         [
             (("--algo", "ssi", "--game", "{game}"), 2),
             (("--algo", "si", "--game", "{game}"), 1),
-            (("--algo", "ssi", "--family", "table1", "--n", "3"), 2),
+            (("--algo", "ssi", "--family", "table1", "--n", "3"), 0),
         ],
         ids=["ssi-defaults", "si-default", "ssi-family"],
     )
     def test_each_start_is_valued_once_before_the_run(
         self, tmp_path, capsys, monkeypatch, flags, before
     ):
-        # a default start has passed is_admissible, so only the family's
-        # starts are checked again
+        # a default start has passed is_admissible and a family's is
+        # admissible by construction, so neither is checked again
         calls = []
         solve = valuation_module.solve_values
 

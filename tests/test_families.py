@@ -1,10 +1,14 @@
 """Structure of the generated worst-case families."""
 
+import hashlib
+
 import pytest
 
 from oracle_reference import compare, enumerate_optimal_strategy
 from sinkgames.families import expected_iterations, gen_table1, gen_table2, optimal_table1
 from sinkgames.game import validate_game
+from sinkgames.pgsolver import write_pgsolver
+from sinkgames.traces import write_strategy_text
 from sinkgames.valuation import is_admissible, valuate
 
 
@@ -87,14 +91,15 @@ class TestLadderFamily:
 
     def test_labels_cover_every_node_once(self):
         inst = gen_table1(5)
-        assert set(inst.labels) == set(inst.game.node_ids)
-        assert len(set(inst.labels.values())) == inst.game.num_nodes
+        labels = [inst.game.label(v) for v in inst.game.node_ids]
+        assert None not in labels
+        assert len(set(labels)) == inst.game.num_nodes
 
 
 class TestGadgetFamily:
     def test_smallest_instance_priorities(self):
         inst = gen_table2(1)
-        priorities = {inst.labels[v]: inst.game.priority(v) for v in inst.game.node_ids}
+        priorities = {inst.game.label(v): inst.game.priority(v) for v in inst.game.node_ids}
         assert priorities == {
             "a1": 33, "d1": 34, "a2": 1, "d2": 36,
             "c1": 15, "m1": 17, "e1": 18, "f1": 20,
@@ -121,7 +126,7 @@ class TestGadgetFamily:
         inst = gen_table2(n)
         threshold = 16 * n + 16
         for v in inst.game.node_ids:
-            label = inst.labels[v]
+            label = inst.game.label(v)
             priority = inst.game.priority(v)
             if label.startswith(("a", "d")) and v != inst.game.sink:
                 assert priority > threshold
@@ -167,6 +172,21 @@ class TestGadgetFamily:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             gen_table2(0)
+
+
+class TestGeneratorDigest:
+    def test_outputs_are_byte_identical(self):
+        # recorded from the generators that spelled out every node id; covers
+        # each game's PGSolver text and sink, both start strategies and the
+        # ladder's optimal pair for n = 1..10
+        h = hashlib.sha256()
+        for n in range(1, 11):
+            for inst in (gen_table1(n), gen_table2(n)):
+                h.update(write_pgsolver(inst.game).encode())
+                h.update(f"sink {inst.game.sink}\n".encode())
+                h.update((write_strategy_text(inst.sigma0) + write_strategy_text(inst.tau0)).encode())
+            h.update("".join(map(write_strategy_text, optimal_table1(n))).encode())
+        assert h.hexdigest() == "ccec3c5bb3824c01e9196578b836ed7cb3cb7b74f4cc20f6f6219e5667253e09"
 
 
 class TestExpectedIterations:

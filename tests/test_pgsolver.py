@@ -181,6 +181,55 @@ class TestDigitCap:
         assert write_pgsolver(parse_pgsolver(text)) == text
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no interpreter digit limit"
+)
+class TestMessagesUnderALoweredLimit:
+    """Errors that name a 2,000-digit id read the same under digit limit 640
+    as under the default."""
+
+    SEVENS = "7" * 2000
+
+    @staticmethod
+    def _under_limit_640(call):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            call()
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"{SEVENS} 2 0 {SEVENS};\n{SEVENS} 3 1 {SEVENS};\n",
+            f"parity 5;\n{SEVENS} 2 0 {SEVENS};\n",
+            f"{SEVENS} 2 0 5;\n",
+        ],
+        ids=["duplicate-id", "above-header-maximum", "dangling-successor"],
+    )
+    def test_parse_errors(self, text):
+        with pytest.raises(ParseError) as default:
+            parse_pgsolver(text)
+        assert len(str(default.value)) > 2000
+        with pytest.raises(ParseError) as lowered:
+            self._under_limit_640(lambda: parse_pgsolver(text))
+        assert str(lowered.value) == str(default.value)
+
+    @pytest.mark.parametrize(
+        "text", [f"{SEVENS} {SEVENS}\n{SEVENS} {SEVENS}\n", f"{'8' * 2000} 1\n"],
+        ids=["repeated-node", "unknown-node"],
+    )
+    def test_strategy_errors(self, text):
+        game = parse_pgsolver(f"{self.SEVENS} 2 0 {self.SEVENS};\n")
+        with pytest.raises(ValueError) as default:
+            parse_strategy_text(text, game)
+        assert len(str(default.value)) > 2000
+        with pytest.raises(ValueError) as lowered:
+            self._under_limit_640(lambda: parse_strategy_text(text, game))
+        assert str(lowered.value) == str(default.value)
+
+
 class TestWrite:
     def test_canonical_shape(self):
         inst = gen_table1(2)

@@ -285,6 +285,26 @@ def _drawn_game(rng: random.Random, n: int) -> tuple[dict, dict, dict]:
     return dict(enumerate(o for o, _ in heads)), dict(enumerate(q for _, q in heads)), successors
 
 
+def _shaped_game(rng: random.Random, shape: str) -> tuple[dict, dict, dict]:
+    """A game of 5-300 nodes in a shape ``_drawn_game`` rarely draws:
+    ``dense`` (1-8 successors), ``few-priorities`` (2-4 distinct ones) or
+    ``self-loops`` (about half the nodes list themselves)."""
+    n = rng.randint(5, 300)
+    pool = range(2 * n + 1)
+    if shape == "few-priorities":
+        pool = rng.sample(pool, rng.randint(2, 4))
+    degree = 8 if shape == "dense" else 3
+    owner = {v: rng.randint(0, 1) for v in range(n)}
+    priority = {v: rng.choice(pool) for v in range(n)}
+    successors = {}
+    for v in range(n):
+        row = rng.sample(range(n), rng.randint(1, degree))
+        if shape == "self-loops" and v not in row and rng.random() < 0.5:
+            row.insert(rng.randint(0, len(row)), v)
+        successors[v] = tuple(row)
+    return owner, priority, successors
+
+
 class TestZielonkaReference:
     """``solve_winners`` against Zielonka's algorithm, which shares no code
     with it, on games far past the brute-force oracle's reach; every result
@@ -300,6 +320,18 @@ class TestZielonkaReference:
             assert (set(result.w0), set(result.w1)) == (w0, w1)
             both_won += bool(w0) and bool(w1)
         assert both_won > 150
+
+    @pytest.mark.parametrize("shape", ["dense", "few-priorities", "self-loops"])
+    def test_winners_match_on_rare_shapes(self, shape):
+        rng = random.Random(f"shape/{shape}")
+        both_won = 0
+        for _ in range(50):
+            game = _shaped_game(rng, shape)
+            result = _checked_winners(*game)
+            w0, w1 = winning_regions(*game)
+            assert (set(result.w0), set(result.w1)) == (w0, w1)
+            both_won += bool(w0) and bool(w1)
+        assert both_won > 15
 
 
 class TestBestResponse:

@@ -89,8 +89,9 @@ class TestRunGssi:
         inst = gen_table2(1)
         result = run_gssi(inst.game, inst.sigma0, inst.tau0, switch_all_rule())
         assert result.iterations == 2
-        first = {(o, inst.labels[u], inst.labels[w]) for o, u, w in result.trace.iterations[0].switches}
-        second = {(o, inst.labels[u], inst.labels[w]) for o, u, w in result.trace.iterations[1].switches}
+        label = inst.game.label
+        first = {(o, label(u), label(w)) for o, u, w in result.trace.iterations[0].switches}
+        second = {(o, label(u), label(w)) for o, u, w in result.trace.iterations[1].switches}
         assert first == {(0, "m1", "f1"), (1, "g1", "k1")}
         assert second == {(0, "c1", "m1"), (1, "h1", "g1")}
 
