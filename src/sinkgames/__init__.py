@@ -5,7 +5,6 @@ tooling."""
 from .game import (
     PLAYER0,
     PLAYER1,
-    NodeRecord,
     ParityGame,
     Strategy,
     Violation,

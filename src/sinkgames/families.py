@@ -45,7 +45,7 @@ def _build(
     ids = {label: v for v, label in enumerate(labels)}
     edges = [tuple(ids[w] for w in row) for row in succs]
     sink = ids[f"a{n + 1}"]
-    game = ParityGame.from_columns(range(len(rows)), owners, priorities, labels, edges, sink=sink)
+    game = ParityGame(range(len(rows)), owners, priorities, labels, edges, sink=sink)
     choice: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for v, (label, owner, _, row) in enumerate(rows):
         choice[owner][v] = ids[start.get(label, row[0])]

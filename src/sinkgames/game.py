@@ -1,30 +1,20 @@
 """Game graphs, positional strategies and validation.
 
-A game keeps its nodes as columns: owner, priority, label and successor dicts
-keyed by node id, in ascending id order; NodeRecords are built on request.
-Games are immutable after construction and all operations here are pure, so
-shared instances are safe to use concurrently.
+A game is built from parallel columns and keeps them as owner, priority,
+label and successor dicts keyed by node id, in ascending id order. Games are
+immutable after construction and all operations here are pure, so shared
+instances are safe to use concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 PLAYER0 = 0
 PLAYER1 = 1
 
 Columns = tuple[list[int], list[int], list[int], list[str | None], list[tuple[int, ...]]]
-
-
-@dataclass(frozen=True, slots=True)
-class NodeRecord:
-    """A single game node: owner 0/1, integer priority, optional label."""
-
-    id: int
-    owner: int
-    priority: int
-    label: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,38 +43,18 @@ class ParityGame:
 
     def __init__(
         self,
-        nodes: Iterable[NodeRecord],
-        edges: Mapping[int, Sequence[int]],
-        sink: int | None = None,
-    ):
-        nodes = tuple(nodes)
-        ids = [rec.id for rec in nodes]
-        owners = [rec.owner for rec in nodes]
-        priorities = [rec.priority for rec in nodes]
-        labels = [rec.label for rec in nodes]
-        self._setup(ids, owners, priorities, labels, [edges.get(v, ()) for v in ids], sink, edges)
-
-    @classmethod
-    def from_columns(
-        cls,
         ids: Sequence[int],
         owners: Sequence[int],
         priorities: Sequence[int],
         labels: Sequence[str | None],
         successors: Sequence[Sequence[int]],
         sink: int | None = None,
-    ) -> ParityGame:
-        """The game of parallel columns, one entry per node, in any id order.
-        Same checks as the constructor; the game copies what it keeps."""
+    ):
+        """The game of parallel columns, one entry per node, in any id order;
+        the game copies what it keeps. Each check runs over a whole column,
+        and a failed one rescans in node order to name the first offender."""
         if not len(ids) == len(owners) == len(priorities) == len(labels) == len(successors):
             raise ValueError("columns differ in length")
-        game = cls.__new__(cls)
-        game._setup(ids, owners, priorities, labels, successors, sink, ())
-        return game
-
-    def _setup(self, ids, owners, priorities, labels, successors, sink, sources) -> None:
-        """The one validation core: each check runs over a whole column, and
-        a failed one rescans in node order to name the first offender."""
         owner = dict(zip(ids, owners))
         # True and 1.0 equal 1, so an owner's type is checked apart from its value
         if (
@@ -102,9 +72,6 @@ class ParityGame:
                 if type(who) is not int or who not in (PLAYER0, PLAYER1):
                     raise ValueError(f"node {v} has invalid owner {who!r}")
                 seen.add(v)
-        if not owner.keys() >= set(sources):
-            stray = next(u for u in sources if u not in owner)
-            raise ValueError(f"edge source {stray} is not a node")
         if sink is not None and sink not in owner:
             raise ValueError(f"sink {sink} is not a node")
         order = sorted(ids)
@@ -120,13 +87,6 @@ class ParityGame:
     @property
     def node_ids(self) -> tuple[int, ...]:
         return self._ids
-
-    @property
-    def nodes(self) -> tuple[NodeRecord, ...]:
-        return tuple(map(NodeRecord, *self.columns()[:4]))
-
-    def node(self, v: int) -> NodeRecord:
-        return NodeRecord(v, self._owner[v], self._priority[v], self._label[v])
 
     def columns(self) -> Columns:
         """Fresh lists in ascending id order: ids, owners, priorities,

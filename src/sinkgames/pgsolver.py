@@ -209,7 +209,7 @@ def parse_pgsolver(text: str) -> ParityGame:
         raise _error(text, message, seen[node_id])
     owners, priorities = list(map(int, owners)), list(map(to_int, priorities))
     sink = sink_of(ids, priorities, rows)
-    return ParityGame.from_columns(ids, owners, priorities, labels, rows, sink=sink)
+    return ParityGame(ids, owners, priorities, labels, rows, sink=sink)
 
 
 def write_pgsolver(game: ParityGame) -> str:

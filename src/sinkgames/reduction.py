@@ -121,7 +121,7 @@ def reduce_game(game: ParityGame) -> tuple[ParityGame, ReductionMap]:
     shift = _even_shift(min(priorities))
     rmap = ReductionMap(frozenset(game.node_ids), breakers, w=w, sink=top, pw=pw + shift)
     priorities = [priority + shift for priority in priorities]
-    return ParityGame.from_columns(ids, owners, priorities, labels, rows, sink=top), rmap
+    return ParityGame(ids, owners, priorities, labels, rows, sink=top), rmap
 
 
 def trivial_strategies(reduced: ParityGame, rmap: ReductionMap) -> tuple[Strategy, Strategy]:

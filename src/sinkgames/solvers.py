@@ -41,8 +41,8 @@ from .valuation import (
     Valuation,
     counter_choices,
     game_index,
+    id_edges,
     improving_edges,
-    improving_moves,
     solve_values,
     valuate,
     valuation_from_codes,
@@ -240,8 +240,12 @@ def verify_optimal(game: ParityGame, sigma: Strategy, tau: Strategy) -> Optimali
     agree node-wise; violations are listed in the certificate."""
     xi_sigma = valuate(game, sigma)
     xi_tau = valuate(game, tau)
-    imp_sigma = improving_moves(game, sigma, xi_sigma)
-    imp_tau = improving_moves(game, tau, xi_tau)
+    # valuate checked both strategies, so the sets come off the index arrays
+    gi = xi_sigma.gi
+    imp_sigma, imp_tau = (
+        id_edges(gi, improving_edges(gi, gi.strategy_array(s), xi.codes, s.player))
+        for s, xi in ((sigma, xi_sigma), (tau, xi_tau))
+    )
     # both valuations share the game's codec and player 1's codes are
     # negated, so equal values have codes that sum to 0
     mismatched = tuple(

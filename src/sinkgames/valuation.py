@@ -97,7 +97,11 @@ class GameIndex:
         to_index = index.__getitem__
         # duplicate edges change no minimum, so each successor is kept
         # once, in declaration order
-        succ = [tuple(dict.fromkeys(map(to_index, row))) for row in successors]
+        try:
+            succ = [tuple(dict.fromkeys(map(to_index, row))) for row in successors]
+        except KeyError:
+            v, w = next((v, w) for v, row in zip(ids, successors) for w in row if w not in index)
+            raise ValueError(f"node {v} lists successor {w} which is not a node") from None
         for v, (who, row) in enumerate(zip(owners, succ)):
             into = pred[who]
             for w in row:
@@ -465,7 +469,7 @@ def weak_edges(
     return [(v, w) for v, w in edges if opponent_codes[w] <= opponent_codes[strat[v]]]
 
 
-def _id_edges(gi: GameIndex, edges: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+def id_edges(gi: GameIndex, edges: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     ids = gi.ids
     return frozenset((ids[v], ids[w]) for v, w in edges)
 
@@ -474,10 +478,12 @@ def improving_moves(
     game: ParityGame, strategy: Strategy, xi: Valuation
 ) -> frozenset[tuple[int, int]]:
     """Edges whose target strictly improves on the current choice's target
-    under the player's own valuation."""
+    under the player's own valuation. Raises ValueError for an invalid
+    strategy."""
+    check_strategy(game, strategy)
     gi = game_index(game)
     strat = gi.strategy_array(strategy)
-    return _id_edges(gi, improving_edges(gi, strat, xi.codes, strategy.player))
+    return id_edges(gi, improving_edges(gi, strat, xi.codes, strategy.player))
 
 
 def j_set(
@@ -485,8 +491,9 @@ def j_set(
 ) -> frozenset[tuple[int, int]]:
     """Edges whose target is weakly better for the player than the current
     choice under the *opponent's* valuation; always contains the current
-    choices themselves."""
+    choices themselves. Raises ValueError for an invalid strategy."""
+    check_strategy(game, strategy)
     gi = game_index(game)
     strat = gi.strategy_array(strategy)
     edges = [(v, w) for v in gi.nodes[strategy.player] for w in gi.succ[v]]
-    return _id_edges(gi, weak_edges(edges, strat, xi_opponent.codes))
+    return id_edges(gi, weak_edges(edges, strat, xi_opponent.codes))

@@ -7,7 +7,7 @@ import random
 
 from dataclasses import dataclass
 
-from sinkgames.game import PLAYER0, PLAYER1, NodeRecord, ParityGame, Strategy, check_strategy
+from sinkgames.game import PLAYER0, PLAYER1, ParityGame, Strategy, check_strategy
 from sinkgames.reduction import reduce_game
 
 
@@ -36,12 +36,10 @@ def random_parity_game(
 ) -> ParityGame:
     """An arbitrary small parity game (not necessarily a sink game)."""
     n = rng.randint(min_nodes, max_nodes)
-    nodes = [NodeRecord(i, rng.randint(0, 1), rng.randint(0, 2 * n), None) for i in range(n)]
-    edges = {}
-    for i in range(n):
-        k = rng.randint(1, min(max_degree, n))
-        edges[i] = tuple(rng.sample(range(n), k))
-    return ParityGame(nodes, edges)
+    # owner, then priority, node by node: the draw order fixes every seeded game
+    owners, priorities = zip(*[(rng.randint(0, 1), rng.randint(0, 2 * n)) for _ in range(n)])
+    successors = [rng.sample(range(n), rng.randint(1, min(max_degree, n))) for _ in range(n)]
+    return ParityGame(range(n), owners, priorities, [None] * n, successors)
 
 
 def random_sink_game(rng: random.Random, max_nodes: int = 8) -> ParityGame:
@@ -55,17 +53,16 @@ def random_sink_game(rng: random.Random, max_nodes: int = 8) -> ParityGame:
                 return reduced
     n = rng.randint(3, max_nodes)
     owners = [rng.randint(0, 1) for _ in range(n)]
-    nodes = [NodeRecord(0, owners[0], 0, None)]
-    nodes += [NodeRecord(i, owners[i], rng.randint(1, 2 * n), None) for i in range(1, n)]
-    edges: dict[int, tuple[int, ...]] = {0: (0,)}
+    priorities = [0] + [rng.randint(1, 2 * n) for _ in range(1, n)]
+    successors = [(0,)]
     for i in range(1, n):
         other = [j for j in range(1, n) if owners[j] != owners[i]]
         rng.shuffle(other)
         take = rng.randint(min(1, len(other)), min(3, len(other)))
         succs = [0] + other[:take]
         rng.shuffle(succs)
-        edges[i] = tuple(succs)
-    return ParityGame(nodes, edges, sink=0)
+        successors.append(succs)
+    return ParityGame(range(n), owners, priorities, [None] * n, successors, sink=0)
 
 
 def is_admissible_scc(game: ParityGame, strategy: Strategy) -> bool:

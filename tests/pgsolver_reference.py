@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sinkgames.game import NodeRecord, ParityGame, infer_sink, validate_game
+from sinkgames.game import ParityGame, infer_sink, validate_game
 from sinkgames.pgsolver import ParseError
 
 
@@ -121,7 +121,7 @@ def parse_pgsolver(text: str) -> ParityGame:
     if not statements:
         raise ParseError("no node statements", 1, 1)
 
-    records: list[NodeRecord] = []
+    records: list[tuple[int, int, int, str | None]] = []
     edges: dict[int, tuple[int, ...]] = {}
     seen: dict[int, _Token] = {}
     for stmt in statements:
@@ -157,7 +157,7 @@ def parse_pgsolver(text: str) -> ParityGame:
         if pos != len(stmt):
             extra = stmt[pos]
             raise ParseError(f"unexpected token {extra.value!r}", extra.line, extra.column)
-        records.append(NodeRecord(node_id, int(owner_tok.value), priority, label))
+        records.append((node_id, int(owner_tok.value), priority, label))
         edges[node_id] = tuple(succs)
 
     known = set(seen)
@@ -170,8 +170,8 @@ def parse_pgsolver(text: str) -> ParityGame:
                     tok.line,
                     tok.column,
                 )
-    game = ParityGame(records, edges)
-    game = ParityGame(records, edges, sink=infer_sink(game))
+    game = ParityGame(*zip(*records), list(edges.values()))
+    game = ParityGame(*zip(*records), list(edges.values()), sink=infer_sink(game))
     violations = validate_game(game)
     if violations:
         raise ParseError("; ".join(str(v) for v in violations), 1, 1)

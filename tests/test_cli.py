@@ -18,7 +18,7 @@ from sinkgames import cli, traces
 from sinkgames import valuation as valuation_module
 from sinkgames.cli import main
 from sinkgames.families import gen_table1
-from sinkgames.game import NodeRecord, ParityGame
+from sinkgames.game import ParityGame
 from sinkgames.pgsolver import MAX_DIGITS, parse_pgsolver, write_pgsolver
 from sinkgames.playvalues import ValueCodec
 from sinkgames.reduction import reduce_game, solve_winners
@@ -337,19 +337,18 @@ def _loose_sink_game(rng):
     """A sink game whose nodes need not reach the sink, so that a default
     start can fail at either greedy."""
     n = rng.randint(4, 10)
-    nodes = [NodeRecord(0, 0, 0, None)]
-    nodes += [NodeRecord(i, rng.randint(0, 1), rng.randint(1, 2 * n), None) for i in range(1, n)]
-    edges = {0: (0,)}
-    for i in range(1, n):
-        edges[i] = tuple(rng.sample(range(n), rng.randint(1, 3)))
-    return ParityGame(nodes, edges, sink=0)
+    # owner, then priority, node by node: the draw order fixes the digest below
+    drawn = [(0, 0)] + [(rng.randint(0, 1), rng.randint(1, 2 * n)) for _ in range(1, n)]
+    owners, priorities = zip(*drawn)
+    successors = [(0,)] + [rng.sample(range(n), rng.randint(1, 3)) for _ in range(1, n)]
+    return ParityGame(range(n), owners, priorities, [None] * n, successors, sink=0)
 
 
 def _relabelled(game):
     """The game with each id v moved to 3v + 5, which keeps the id order."""
     relabel = {v: 3 * v + 5 for v in game.node_ids}
     ids, owners, priorities, labels, successors = game.columns()
-    return ParityGame.from_columns(
+    return ParityGame(
         [relabel[v] for v in ids], owners, priorities, labels,
         [[relabel[w] for w in succs] for succs in successors], relabel[game.sink],
     )

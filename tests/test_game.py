@@ -7,13 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import is_admissible_scc, random_sink_game, random_strategy, strategy_subgraph
 from sinkgames.families import gen_table1, gen_table2
-from sinkgames.game import (
-    NodeRecord,
-    ParityGame,
-    Strategy,
-    infer_sink,
-    validate_game,
-)
+from sinkgames.game import ParityGame, Strategy, infer_sink, validate_game
 from sinkgames.reduction import reduce_game
 from sinkgames.valuation import is_admissible
 
@@ -23,30 +17,22 @@ class TestValidateGame:
         assert validate_game(gen_table1(1).game, require_sink=True) == []
 
     def test_node_without_successor(self):
-        game = ParityGame([NodeRecord(0, 0, 2, None)], {0: ()})
+        game = ParityGame([0], [0], [2], [None], [()])
         report = validate_game(game)
         assert [v.rule for v in report] == ["node-successor"]
         assert "node without successor" in report[0].message
 
     def test_sink_with_second_edge(self):
-        game = ParityGame(
-            [NodeRecord(0, 0, 1, None), NodeRecord(1, 1, 5, None)],
-            {0: (0, 1), 1: (0,)},
-            sink=0,
-        )
+        game = ParityGame([0, 1], [0, 1], [1, 5], [None] * 2, [(0, 1), (0,)], sink=0)
         report = validate_game(game)
         assert any(v.rule == "sink-self-loop" for v in report)
 
     def test_sink_priority_not_minimal(self):
-        game = ParityGame(
-            [NodeRecord(0, 0, 4, None), NodeRecord(1, 1, 3, None)],
-            {0: (0,), 1: (0,)},
-            sink=0,
-        )
+        game = ParityGame([0, 1], [0, 1], [4, 3], [None] * 2, [(0,), (0,)], sink=0)
         assert any(v.rule == "sink-priority" for v in validate_game(game))
 
     def test_missing_sink_only_flagged_when_required(self):
-        game = ParityGame([NodeRecord(0, 0, 2, None)], {0: (0,)})
+        game = ParityGame([0], [0], [2], [None], [(0,)])
         assert validate_game(game) == []
         assert any(v.rule == "sink-missing" for v in validate_game(game, require_sink=True))
 
@@ -63,29 +49,24 @@ class TestValidateGame:
 
     def test_constructor_rejects_structural_garbage(self):
         with pytest.raises(ValueError):
-            ParityGame([NodeRecord(0, 0, 1, None), NodeRecord(0, 1, 2, None)], {0: (0,)})
+            ParityGame([0, 0], [0, 1], [1, 2], [None] * 2, [(0,), (0,)])
         with pytest.raises(ValueError):
-            ParityGame([NodeRecord(0, 2, 1, None)], {0: (0,)})
-        with pytest.raises(ValueError):
-            ParityGame([NodeRecord(0, 0, 1, None)], {5: (0,)})
+            ParityGame([0], [2], [1], [None], [(0,)])
 
 
-def _reference_error(records, edges, sink) -> str | None:
-    """The constructor's checks written out one record at a time, in the
-    order they have always run: each record's id, duplicate and owner, then
-    edge sources, then the sink."""
+def _reference_error(ids, owners, sink) -> str | None:
+    """The constructor's checks written out one node at a time, in the order
+    they have always run: each node's id, duplicate and owner, then the
+    sink."""
     seen = set()
-    for rec in records:
-        if rec.id < 0:
-            return f"node id {rec.id} is negative"
-        if rec.id in seen:
-            return f"duplicate node id {rec.id}"
-        if type(rec.owner) is not int or rec.owner not in (0, 1):
-            return f"node {rec.id} has invalid owner {rec.owner!r}"
-        seen.add(rec.id)
-    for u in edges:
-        if u not in seen:
-            return f"edge source {u} is not a node"
+    for v, who in zip(ids, owners):
+        if v < 0:
+            return f"node id {v} is negative"
+        if v in seen:
+            return f"duplicate node id {v}"
+        if type(who) is not int or who not in (0, 1):
+            return f"node {v} has invalid owner {who!r}"
+        seen.add(v)
     if sink is not None and sink not in seen:
         return f"sink {sink} is not a node"
     return None
@@ -98,86 +79,66 @@ def _outcome(make):
         return str(exc)
 
 
+_OWNERS = st.sampled_from((0, 1) * 8 + (2, True, False, 1.0))
+_PRIORITIES = st.integers(-2, 9)
+_LABELS = st.one_of(st.none(), st.text("ab;", max_size=2))
+
+
 @st.composite
-def record_lists(draw):
-    """Records with unsorted ids, gaps, labels and, now and then, duplicate
-    or negative ids, an owner of 2, a bool or a float, an edge source that
-    is not a node or a sink that is not a node."""
+def game_columns(draw):
+    """Columns with unsorted ids, gaps, labels and, now and then, duplicate
+    or negative ids, an owner of 2, a bool or a float, or a sink that is not
+    a node."""
     ids = draw(st.lists(st.integers(0, 30), unique=True, max_size=8))
     if ids and draw(st.integers(0, 7)) == 0:
         ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
     if draw(st.integers(0, 7)) == 0:
         ids.insert(draw(st.integers(0, len(ids))), draw(st.integers(-3, -1)))
-    records = [
-        NodeRecord(
-            v,
-            draw(st.sampled_from((0, 1) * 8 + (2, True, False, 1.0))),
-            draw(st.integers(-2, 9)),
-            draw(st.one_of(st.none(), st.text("ab;", max_size=2))),
-        )
-        for v in ids
-    ]
+    owners = [draw(_OWNERS) for _ in ids]
+    priorities = [draw(_PRIORITIES) for _ in ids]
+    labels = [draw(_LABELS) for _ in ids]
     targets = st.sampled_from(ids) if ids else st.integers(0, 3)
-    edges = {v: draw(st.lists(targets, max_size=3)) for v in ids if draw(st.integers(0, 5))}
-    if draw(st.integers(0, 7)) == 0:
-        edges[draw(st.integers(0, 32))] = [0]
+    successors = [draw(st.lists(targets, max_size=3)) for _ in ids]
     sink = draw(st.one_of(st.none(), st.sampled_from(ids) if ids else st.none(), st.integers(0, 32)))
-    return records, edges, sink
+    return [ids, owners, priorities, labels, successors], sink
 
 
 class TestFromColumns:
     @settings(max_examples=400, deadline=None)
-    @given(record_lists())
+    @given(game_columns())
     def test_matches_constructor(self, case):
-        records, edges, sink = case
-        ids = [rec.id for rec in records]
-        columns = (
-            ids,
-            [rec.owner for rec in records],
-            [rec.priority for rec in records],
-            [rec.label for rec in records],
-            [list(edges.get(v, ())) for v in ids],
-        )
-        built = _outcome(lambda: ParityGame(records, edges, sink))
-        from_columns = _outcome(lambda: ParityGame.from_columns(*columns, sink=sink))
-        error = _reference_error(records, edges, sink)
+        columns, sink = case
+        built = _outcome(lambda: ParityGame(*columns, sink=sink))
+        error = _reference_error(columns[0], columns[1], sink)
         if error is not None:
             assert built == error
-        else:
-            assert built.nodes == tuple(sorted(records, key=lambda rec: rec.id))
-            for v in ids:
-                assert built.successors(v) == tuple(edges.get(v, ()))
-        if error is not None and error.startswith("edge source"):
-            # columns cannot name a source outside ``ids``: compare with the
-            # records' own edges
-            own = {v: row for v, row in edges.items() if v in set(ids)}
-            built = _outcome(lambda: ParityGame(records, own, sink))
-        assert from_columns == built
-        if isinstance(from_columns, ParityGame):
-            for row in columns[4]:
-                row.append(-1)
-            for column in columns:
-                column.reverse()
-                column.append(-1)
-            assert from_columns == built
+            return
+        order = sorted(range(len(columns[0])), key=columns[0].__getitem__)
+        ids, owners, priorities, labels, successors = ([column[i] for i in order] for column in columns)
+        expected = (ids, owners, priorities, labels, [tuple(row) for row in successors])
+        assert built.columns() == expected
+        reversed_ids = ParityGame(*(column[::-1] for column in columns), sink=sink)
+        # the game keeps a copy of its columns
+        for row in columns[4]:
+            row.append(-1)
+        for column in columns:
+            column.reverse()
+            column.append(-1)
+        assert built.columns() == expected and reversed_ids == built
 
     @pytest.mark.parametrize("owner", [True, False, 1.0])
     def test_owner_must_be_the_int_0_or_1(self, owner):
-        owners = [0, owner, 2]
-        records = [NodeRecord(v, who, 2, None) for v, who in enumerate(owners)]
-        edges = {v: (0,) for v in range(3)}
+        columns = ([0, 1, 2], [0, owner, 2], [2] * 3, [None] * 3, [(0,)] * 3)
         message = f"node 1 has invalid owner {owner!r}"
-        assert _outcome(lambda: ParityGame(records, edges, sink=0)) == message
-        columns = ([0, 1, 2], owners, [2] * 3, [None] * 3, [(0,)] * 3)
-        assert _outcome(lambda: ParityGame.from_columns(*columns, sink=0)) == message
+        assert _outcome(lambda: ParityGame(*columns, sink=0)) == message
 
     def test_columns_must_have_equal_lengths(self):
         with pytest.raises(ValueError, match="columns differ in length"):
-            ParityGame.from_columns([0, 1], [0, 1], [1, 2], [None], [(0,), (0,)])
+            ParityGame([0, 1], [0, 1], [1, 2], [None], [(0,), (0,)])
 
     def test_columns_round_trip(self):
         game = gen_table2(2).game
-        assert ParityGame.from_columns(*game.columns(), sink=game.sink) == game
+        assert ParityGame(*game.columns(), sink=game.sink) == game
         assert game.columns()[0] == list(game.node_ids)
 
 
@@ -199,11 +160,7 @@ class TestStrategySubgraph:
                 assert all(len(sub.successors(v)) >= 1 for v in game.node_ids)
 
     def test_player_without_nodes_changes_nothing(self):
-        game = ParityGame(
-            [NodeRecord(0, 1, 1, None), NodeRecord(1, 1, 4, None)],
-            {0: (0,), 1: (0, 1)},
-            sink=0,
-        )
+        game = ParityGame([0, 1], [1, 1], [1, 4], [None] * 2, [(0,), (0, 1)], sink=0)
         sub = strategy_subgraph(game, Strategy(0, {}))
         assert all(sub.successors(v) == game.successors(v) for v in game.node_ids)
 
@@ -231,11 +188,7 @@ class TestIsAdmissible:
         assert is_admissible(inst.game, inst.tau0)
 
     def test_odd_self_loop_is_inadmissible_for_player0(self):
-        game = ParityGame(
-            [NodeRecord(0, 0, 1, None), NodeRecord(1, 0, 3, None)],
-            {0: (0,), 1: (0, 1)},
-            sink=0,
-        )
+        game = ParityGame([0, 1], [0, 0], [1, 3], [None] * 2, [(0,), (0, 1)], sink=0)
         assert not is_admissible(game, Strategy(0, {0: 0, 1: 1}))
         assert is_admissible(game, Strategy(0, {0: 0, 1: 0}))
 
@@ -257,15 +210,9 @@ class TestInferSink:
         assert infer_sink(inst.game) == inst.id_of("a4")
 
     def test_none_when_lowest_priority_is_shared(self):
-        game = ParityGame(
-            [NodeRecord(0, 0, 1, None), NodeRecord(1, 1, 1, None)],
-            {0: (0,), 1: (0,)},
-        )
+        game = ParityGame([0, 1], [0, 1], [1, 1], [None] * 2, [(0,), (0,)])
         assert infer_sink(game) is None
 
     def test_none_without_self_loop(self):
-        game = ParityGame(
-            [NodeRecord(0, 0, 1, None), NodeRecord(1, 1, 4, None)],
-            {0: (1,), 1: (0,)},
-        )
+        game = ParityGame([0, 1], [0, 1], [1, 4], [None] * 2, [(1,), (0,)])
         assert infer_sink(game) is None

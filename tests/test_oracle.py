@@ -16,7 +16,7 @@ from oracle_reference import (
     play_values,
 )
 from sinkgames.families import gen_table1
-from sinkgames.game import NodeRecord, ParityGame, Strategy
+from sinkgames.game import ParityGame, Strategy
 from sinkgames.playvalues import NEG_INF, POS_INF, PlayValue
 
 
@@ -30,18 +30,14 @@ class TestPlayWalking:
 
     def test_even_cycle_is_plus_infinity(self):
         game = ParityGame(
-            [NodeRecord(0, 0, 1, None), NodeRecord(1, 0, 4, None), NodeRecord(2, 1, 3, None)],
-            {0: (0,), 1: (2, 0), 2: (1,)},
-            sink=0,
+            [0, 1, 2], [0, 0, 1], [1, 4, 3], [None] * 3, [(0,), (2, 0), (1,)], sink=0
         )
         values = play_values(game, Strategy(0, {0: 0, 1: 2}), Strategy(1, {2: 1}))
         assert values[1] is POS_INF and values[2] is POS_INF
 
     def test_odd_cycle_is_minus_infinity(self):
         game = ParityGame(
-            [NodeRecord(0, 0, 1, None), NodeRecord(1, 0, 5, None), NodeRecord(2, 1, 2, None)],
-            {0: (0,), 1: (2, 0), 2: (1,)},
-            sink=0,
+            [0, 1, 2], [0, 0, 1], [1, 5, 2], [None] * 3, [(0,), (2, 0), (1,)], sink=0
         )
         values = play_values(game, Strategy(0, {0: 0, 1: 2}), Strategy(1, {2: 1}))
         assert values[1] is NEG_INF
@@ -56,7 +52,7 @@ class TestPlayWalking:
 
 class TestOptimalResponse:
     def test_single_node_game(self):
-        game = ParityGame([NodeRecord(0, 0, 0, None)], {0: (0,)}, sink=0)
+        game = ParityGame([0], [0], [0], [None], [(0,)], sink=0)
         valuation = enumerate_optimal_response(game, Strategy(0, {0: 0}))
         assert valuation.values == {0: PlayValue.empty()}
 
@@ -99,15 +95,12 @@ class TestOptimalStrategy:
 
 class TestBruteForceWinners:
     def test_even_self_loop(self):
-        game = ParityGame([NodeRecord(0, 0, 2, None)], {0: (0,)})
+        game = ParityGame([0], [0], [2], [None], [(0,)])
         w0, w1 = brute_force_winners(game)
         assert w0 == {0} and w1 == frozenset()
 
     def test_two_node_odd_cycle_owned_by_player1(self):
-        game = ParityGame(
-            [NodeRecord(0, 1, 3, None), NodeRecord(1, 1, 1, None)],
-            {0: (1,), 1: (0,)},
-        )
+        game = ParityGame([0, 1], [1, 1], [3, 1], [None] * 2, [(1,), (0,)])
         w0, w1 = brute_force_winners(game)
         assert w1 == {0, 1}
 

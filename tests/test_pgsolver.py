@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pgsolver_reference as reference
 from conftest import random_parity_game
 from sinkgames.families import gen_table1, gen_table2
-from sinkgames.game import NodeRecord, ParityGame, validate_game
+from sinkgames.game import ParityGame, validate_game
 from sinkgames.pgsolver import MAX_DIGITS, ParseError, parse_pgsolver, write_pgsolver
 from sinkgames.reduction import reduce_game
 from sinkgames.traces import parse_strategy_text
@@ -172,11 +172,11 @@ class TestDigitCap:
     def test_a_number_that_would_not_parse_back_is_not_written(self):
         refusal = "^a node id or priority has more than 4300 digits$"
         with pytest.raises(ValueError, match=refusal):
-            write_pgsolver(ParityGame.from_columns([10**4300], [0], [1], [None], [(10**4300,)], None))
+            write_pgsolver(ParityGame([10**4300], [0], [1], [None], [(10**4300,)], None))
         with pytest.raises(ValueError, match=refusal):
-            write_pgsolver(ParityGame.from_columns([0], [0], [10**4300], [None], [(0,)], None))
+            write_pgsolver(ParityGame([0], [0], [10**4300], [None], [(0,)], None))
         top = int(MOST)
-        game = ParityGame.from_columns([top], [0], [top], [None], [(top,)], None)
+        game = ParityGame([top], [0], [top], [None], [(top,)], None)
         text = write_pgsolver(game)
         assert write_pgsolver(parse_pgsolver(text)) == text
 
@@ -241,22 +241,21 @@ class TestWrite:
         assert all(line.endswith(";") for line in lines)
 
     def test_negative_priorities_rejected(self):
-        from sinkgames.game import NodeRecord, ParityGame
-
-        game = ParityGame([NodeRecord(0, 0, -1, None)], {0: (0,)})
+        game = ParityGame([0], [0], [-1], [None], [(0,)])
         with pytest.raises(ValueError, match="negative priority"):
             write_pgsolver(game)
 
     @pytest.mark.parametrize("label", ['a"b', "a\nb"])
     def test_unreadable_labels_rejected(self, label):
-        game = ParityGame([NodeRecord(0, 0, 1, label)], {0: (0,)})
+        game = ParityGame([0], [0], [1], [label], [(0,)])
         with pytest.raises(ValueError, match="label"):
             write_pgsolver(game)
 
     def test_awkward_labels_round_trip(self):
         labels = ["", "a;b", "tab\there", "r\r", "\u00e9\u00b2 ,"]
-        nodes = [NodeRecord(v, v % 2, v + 1, label) for v, label in enumerate(labels)]
-        game = ParityGame(nodes, {v: ((v + 1) % len(labels),) for v in range(len(labels))})
+        n = len(labels)
+        successors = [((v + 1) % n,) for v in range(n)]
+        game = ParityGame(range(n), [v % 2 for v in range(n)], range(1, n + 1), labels, successors)
         assert parse_pgsolver(write_pgsolver(game)) == game
 
 

@@ -11,7 +11,6 @@ from oracle_reference import brute_force_winners, walk_winner, all_strategies
 from sinkgames.game import (
     PLAYER0,
     PLAYER1,
-    NodeRecord,
     ParityGame,
     Strategy,
     validate_game,
@@ -35,10 +34,7 @@ from zielonka_reference import winning_regions
 
 class TestBreakCycles:
     def test_single_same_owner_edge_subdivided(self):
-        game = ParityGame(
-            [NodeRecord(0, 1, 3, None), NodeRecord(1, 1, 5, None)],
-            {0: (1,), 1: (0,)},
-        )
+        game = ParityGame([0, 1], [1, 1], [3, 5], [None] * 2, [(1,), (0,)])
         reduced, rmap = reduce_game(game)
         assert len(rmap.breakers) == 2
         for x, (u, w) in rmap.breakers.items():
@@ -49,15 +45,13 @@ class TestBreakCycles:
             assert reduced.priority(x) < min(reduced.priority(0), reduced.priority(1))
 
     def test_bipartite_game_unchanged(self):
-        game = ParityGame(
-            [NodeRecord(0, 0, 2, None), NodeRecord(1, 1, 3, None)],
-            {0: (1,), 1: (0,)},
-        )
+        game = ParityGame([0, 1], [0, 1], [2, 3], [None] * 2, [(1,), (0,)])
         reduced, rmap = reduce_game(game)
         assert rmap.breakers == {}
         escape = (rmap.sink, rmap.w)
         for v in game.node_ids:
-            assert reduced.node(v) == game.node(v)
+            for column in (ParityGame.owner, ParityGame.priority, ParityGame.label):
+                assert column(reduced, v) == column(game, v)
             assert reduced.successors(v) == game.successors(v) + (escape[game.owner(v)],)
 
     def test_no_same_owner_cycles_remain(self):
@@ -74,10 +68,7 @@ class TestBreakCycles:
         _assert_no_same_owner_edge(parse_pgsolver(text))
 
     def test_priorities_shifted_to_stay_nonnegative(self):
-        game = ParityGame(
-            [NodeRecord(0, 1, 0, None), NodeRecord(1, 1, 1, None)],
-            {0: (1,), 1: (0,)},
-        )
+        game = ParityGame([0, 1], [1, 1], [0, 1], [None] * 2, [(1,), (0,)])
         reduced, _ = reduce_game(game)
         assert min(reduced.priority(v) for v in reduced.node_ids) >= 0
         # an even shift keeps every parity
@@ -121,15 +112,14 @@ def _assert_no_same_owner_edge(game: ParityGame) -> None:
 def _decorated_game(rng: random.Random) -> ParityGame:
     """A random parity game with gaps in its ids, priorities that may be
     negative, and some labels."""
-    game = random_parity_game(rng)
-    ids = {v: 3 * v + rng.randint(0, 2) for v in game.node_ids}
+    nodes, owners, priorities, _, successors = random_parity_game(rng).columns()
+    ids = {v: 3 * v + rng.randint(0, 2) for v in nodes}
     shift = rng.randint(-6, 2)
-    nodes = [
-        NodeRecord(ids[rec.id], rec.owner, rec.priority + shift, rng.choice([None, "", f"n{rec.id}"]))
-        for rec in game.nodes
-    ]
-    edges = {ids[v]: tuple(ids[w] for w in game.successors(v)) for v in game.node_ids}
-    return ParityGame(nodes, edges)
+    labels = [rng.choice([None, "", f"n{v}"]) for v in nodes]
+    return ParityGame(
+        list(ids.values()), owners, [p + shift for p in priorities], labels,
+        [[ids[w] for w in row] for row in successors],
+    )
 
 
 class TestReduceGame:
@@ -155,17 +145,17 @@ class TestReduceGame:
 
 class TestExtractWinners:
     def test_even_self_loop_wins_for_player0(self):
-        game = ParityGame([NodeRecord(0, 0, 2, None)], {0: (0,)})
+        game = ParityGame([0], [0], [2], [None], [(0,)])
         result = solve_winners(game)
         assert result.w0 == {0} and result.w1 == frozenset()
 
     def test_odd_self_loop_wins_for_player1(self):
-        game = ParityGame([NodeRecord(0, 1, 3, None)], {0: (0,)})
+        game = ParityGame([0], [1], [3], [None], [(0,)])
         result = solve_winners(game)
         assert result.w1 == {0} and result.w0 == frozenset()
 
     def test_rejects_non_optimal_input(self):
-        game = ParityGame([NodeRecord(0, 0, 2, None)], {0: (0,)})
+        game = ParityGame([0], [0], [2], [None], [(0,)])
         reduced, rmap = reduce_game(game)
         sigma0, tau0 = trivial_strategies(reduced, rmap)
         with pytest.raises(SolverInvariantError):
@@ -225,7 +215,7 @@ def _seeded_game(seed: int, n: int) -> tuple[dict, dict, dict]:
 
 def _parity_game(owner: dict, priority: dict, successors: dict) -> ParityGame:
     ids = list(owner)
-    return ParityGame.from_columns(
+    return ParityGame(
         ids, [owner[v] for v in ids], [priority[v] for v in ids], [None] * len(ids),
         [successors[v] for v in ids],
     )
@@ -312,7 +302,7 @@ class TestZielonkaReference:
 
     def test_winners_match_on_seeded_games(self):
         games = [_drawn_game(rng, rng.randint(5, 400)) for rng in map(random.Random, range(200))]
-        games.append(_drawn_game(random.Random("large/1600"), 1600))
+        games += [_drawn_game(random.Random(f"large/{n}"), n) for n in (1600, 5000)]
         both_won = 0
         for game in games:
             result = _checked_winners(*game)

@@ -8,7 +8,7 @@ import pytest
 from conftest import admissible_pair, random_parity_game, random_sink_game
 from oracle_reference import enumerate_optimal_strategy
 from sinkgames.families import gen_table1, gen_table2, generate, optimal_table1
-from sinkgames.game import NodeRecord, ParityGame, Strategy
+from sinkgames.game import ParityGame, Strategy
 from sinkgames.reduction import reduce_game, trivial_strategies
 from sinkgames.rules import make_rule, switch_all_rule
 from sinkgames.solvers import (
@@ -145,9 +145,7 @@ class TestTrace:
     def test_owner_tags_are_ints(self):
         # a trace file writes the tag as it is, so it must read 0/1
         game = ParityGame(
-            [NodeRecord(0, 0, 0, None), NodeRecord(1, 1, 1, None), NodeRecord(2, 0, 2, None)],
-            {0: (0,), 1: (0, 2), 2: (0, 1)},
-            sink=0,
+            [0, 1, 2], [0, 1, 0], [0, 1, 2], [None] * 3, [(0,), (0, 2), (0, 1)], sink=0
         )
         result = run_si(game, Strategy(0, {0: 0, 2: 1}), switch_all_rule())
         switches = result.trace.iterations[0].switches
@@ -160,9 +158,11 @@ def _gapped_reduced_game(seed: int):
     with its trivial start strategies."""
     source = random_parity_game(random.Random(seed), min_nodes=14, max_nodes=20)
     gap = lambda v: 3 * v + 2
-    nodes = [NodeRecord(gap(v), source.owner(v), source.priority(v), None) for v in source.node_ids]
-    edges = {gap(v): tuple(gap(w) for w in source.successors(v)) for v in source.node_ids}
-    reduced, rmap = reduce_game(ParityGame(nodes, edges))
+    ids, owners, priorities, labels, successors = source.columns()
+    gapped = ParityGame(
+        [gap(v) for v in ids], owners, priorities, labels, [[gap(w) for w in row] for row in successors]
+    )
+    reduced, rmap = reduce_game(gapped)
     return (reduced, *trivial_strategies(reduced, rmap))
 
 
@@ -301,7 +301,7 @@ class TestVerifyOptimal:
         assert (inst.id_of("a1"), inst.id_of("d2")) in certificate.improving_sigma
 
     def test_single_node_game_trivially_optimal(self):
-        game = ParityGame([NodeRecord(0, 0, 0, None)], {0: (0,)}, sink=0)
+        game = ParityGame([0], [0], [0], [None], [(0,)], sink=0)
         certificate = verify_optimal(game, Strategy(0, {0: 0}), Strategy(1, {}))
         assert certificate.ok
 

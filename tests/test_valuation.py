@@ -14,7 +14,7 @@ from conftest import (
 from oracle_reference import compare, enumerate_optimal_response, play_values
 from sinkgames.cli import _distances_to_sink
 from sinkgames.families import gen_table1, gen_table2
-from sinkgames.game import NodeRecord, ParityGame, Strategy
+from sinkgames.game import ParityGame, Strategy
 from sinkgames.playvalues import PlayValue
 from sinkgames.reduction import reduce_game, trivial_strategies
 from sinkgames.rules import switch_all_rule
@@ -62,20 +62,14 @@ class TestValuateLadder:
 
     def test_inadmissible_strategy_detected(self):
         game = ParityGame(
-            [NodeRecord(0, 0, 1, None), NodeRecord(1, 0, 3, None), NodeRecord(2, 1, 4, None)],
-            {0: (0,), 1: (0, 1, 2), 2: (0, 1)},
-            sink=0,
+            [0, 1, 2], [0, 0, 1], [1, 3, 4], [None] * 3, [(0,), (0, 1, 2), (0, 1)], sink=0
         )
         with pytest.raises(NotAdmissibleError):
             valuate(game, Strategy(0, {0: 0, 1: 1}))
 
     def test_isolated_bad_cycle_detected(self):
         # the bad cycle cannot reach the sink: still inadmissible
-        game = ParityGame(
-            [NodeRecord(0, 0, 1, None), NodeRecord(1, 0, 3, None)],
-            {0: (0,), 1: (0, 1)},
-            sink=0,
-        )
+        game = ParityGame([0, 1], [0, 0], [1, 3], [None] * 2, [(0,), (0, 1)], sink=0)
         with pytest.raises(NotAdmissibleError):
             valuate(game, Strategy(0, {0: 0, 1: 1}))
 
@@ -87,7 +81,6 @@ class TestValuateProperties:
         # players; admissible ones must valuate exactly as the oracle says
         from itertools import permutations, product
 
-        from sinkgames.game import NodeRecord, ParityGame
         from oracle_reference import all_strategies, is_admissible_bruteforce
 
         checked_games = 0
@@ -104,14 +97,10 @@ class TestValuateProperties:
                     for i in (1, 2, 3)
                 ]
                 for extras in product(*extra_choices):
-                    nodes = [NodeRecord(0, 0, 0, None)] + [
-                        NodeRecord(i, owners[i - 1], priorities[i - 1], None)
-                        for i in (1, 2, 3)
-                    ]
-                    edges = {0: (0,)}
-                    for i in (1, 2, 3):
-                        edges[i] = (0,) + extras[i - 1]
-                    game = ParityGame(nodes, edges, sink=0)
+                    game = ParityGame(
+                        range(4), (0, *owners), (0, *priorities), [None] * 4,
+                        [(0,)] + [(0,) + extra for extra in extras], sink=0,
+                    )
                     checked_games += 1
                     for player in (0, 1):
                         for strategy in all_strategies(game, player):
@@ -178,6 +167,17 @@ class TestImprovingMoves:
         assert improving_moves(inst.game, inst.sigma0, xi_sigma) == {(a1, d2)}
         xi_tau = valuate(inst.game, inst.tau0)
         assert improving_moves(inst.game, inst.tau0, xi_tau) == {(d1, a2)}
+
+    @pytest.mark.parametrize("choice", [{}, {0: 5}, {99: 0}], ids=["partial", "non-edge", "stray"])
+    def test_invalid_strategy_is_refused(self, choice):
+        # a missing choice is not read as the first successor, nor a stray
+        # node as a KeyError
+        inst = gen_table1(2)
+        xi_sigma, xi_tau = valuate(inst.game, inst.sigma0), valuate(inst.game, inst.tau0)
+        with pytest.raises(ValueError, match="strategy"):
+            improving_moves(inst.game, Strategy(0, choice), xi_sigma)
+        with pytest.raises(ValueError, match="strategy"):
+            j_set(inst.game, Strategy(0, choice), xi_tau)
 
     def test_optimal_strategy_has_none(self):
         from sinkgames.families import optimal_table1
@@ -375,7 +375,7 @@ class TestCounterReference:
                 self.check(valuate(inst.game, strategy))
 
     def test_sink_with_an_edge_to_another_node(self):
-        game = ParityGame.from_columns(
+        game = ParityGame(
             [0, 1, 2], [0, 1, 0], [1, 3, 2], [None] * 3, [(1, 0), (0, 2), (1, 0)], sink=0
         )
         for strategy in (Strategy(0, {0: 1, 2: 0}), Strategy(1, {1: 0})):
@@ -395,7 +395,7 @@ class TestIndexCache:
 
     def test_an_equal_game_gets_its_own_index(self):
         game = gen_table1(3).game
-        twin = ParityGame.from_columns(*game.columns(), sink=game.sink)
+        twin = ParityGame(*game.columns(), sink=game.sink)
         assert twin == game and twin is not game
         assert game_index(twin) is not game_index(game)
         assert game_index(twin).ids == game_index(game).ids
@@ -647,9 +647,11 @@ class TestReferenceEngine:
         # first SCC is harmless, while 4 can keep the pebble on 3 -> 4 -> 3,
         # whose top priority 7 is odd
         game = ParityGame(
-            [NodeRecord(0, 0, 0, None), NodeRecord(1, 0, 2, None), NodeRecord(2, 1, 4, None),
-             NodeRecord(3, 0, 6, None), NodeRecord(4, 1, 7, None)],
-            {0: (0,), 1: (0, 2), 2: (0,), 3: (1, 4), 4: (3, 1)},
+            [0, 1, 2, 3, 4],
+            [0, 0, 1, 0, 1],
+            [0, 2, 4, 6, 7],
+            [None] * 5,
+            [(0,), (0, 2), (0,), (1, 4), (3, 1)],
             sink=0,
         )
         xi = valuate(game, Strategy(0, {0: 0, 1: 0, 3: 1}))
@@ -680,7 +682,7 @@ class TestReferenceEngine:
         # from a sentinel within the margin the cycle climbs towards the
         # exit by its own small weight per lap and does not settle in |V|
         # sweeps
-        game = ParityGame.from_columns(
+        game = ParityGame(
             [0, 1, 2, 3, 4], list(owners), list(priorities), [None] * 5,
             [(0,), (2, 3), (1,), (4,), (0,)], 0,
         )
@@ -694,9 +696,11 @@ class TestReferenceEngine:
         # 2 -> 3 -> 2 tops at the even priority 6, which player 0 wins, but
         # it never reaches the sink: cold, and after switching 1 into it
         game = ParityGame(
-            [NodeRecord(0, 0, 0, None), NodeRecord(1, 0, 1, None), NodeRecord(2, 0, 6, None),
-             NodeRecord(3, 0, 3, None)],
-            {0: (0,), 1: (0, 2), 2: (0, 3), 3: (2,)},
+            [0, 1, 2, 3],
+            [0, 0, 0, 0],
+            [0, 1, 6, 3],
+            [None] * 4,
+            [(0,), (0, 2), (0, 3), (2,)],
             sink=0,
         )
         ref = _reference(game)
@@ -715,7 +719,7 @@ class TestReferenceEngine:
             game, rmap = reduce_game(random_parity_game(rng, 10, 30))
             relabel = {v: 3 * v + 5 for v in game.node_ids}
             ids, owners, priorities, labels, successors = game.columns()
-            gapped = ParityGame.from_columns(
+            gapped = ParityGame(
                 [relabel[v] for v in ids], owners, priorities, labels,
                 [[relabel[w] for w in succs] for succs in successors], relabel[game.sink],
             )
@@ -895,13 +899,21 @@ class TestChangeDrivenSweep:
 
 class TestGameIndexBuild:
     def test_node_without_successor_is_named(self):
-        game = ParityGame.from_columns(
+        game = ParityGame(
             [0, 1, 2], [0, 0, 1], [0, 2, 3], [None] * 3, [(0,), (0, 2), ()], 0
         )
         with pytest.raises(ValueError, match="^node 2 has no successor$"):
             valuate(game, Strategy(0, {0: 0, 1: 0}))
         with pytest.raises(ValueError, match="^node 2 has no successor$"):
             game_index(game)
+
+    def test_successor_that_is_not_a_node_is_named(self):
+        game = ParityGame([0, 1], [0, 1], [0, 3], [None] * 2, [(0,), (0, 5)], sink=0)
+        message = "^node 1 lists successor 5 which is not a node$"
+        with pytest.raises(ValueError, match=message):
+            valuate(game, Strategy(0, {0: 0}))
+        with pytest.raises(ValueError, match=message):
+            run_si(game, Strategy(0, {0: 0}), switch_all_rule())
 
     def test_nodes_of_one_priority_share_one_negated_weight(self):
         game, _ = reduce_game(random_parity_game(random.Random(223), 30, 40))
