@@ -1,8 +1,9 @@
 """Command-line interface: generate, solve, reduce, winners, experiment.
 
 Exit codes: 0 on success, 2 on input errors (bad flags, unreadable or
-invalid files, inadmissible starting strategies), 3 on internal invariant
-violations (a solver run that breaks its own guarantees).
+invalid files, inadmissible starting strategies, a game that a run shows is
+not a sink game), 3 on internal invariant violations (a solver run that
+breaks its own guarantees).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import families, pgsolver, reduction, traces
 from .game import PLAYER0, PLAYER1, ParityGame, Strategy, validate_game
 from .rules import make_rule
 from .solvers import NotSinkGameError, SolverInvariantError, run_gssi, run_si, run_ssi
-from .valuation import GameIndex, NotAdmissibleError, game_index, is_admissible, valuate
+from .valuation import GameIndex, NotAdmissibleError, game_index, is_admissible
 
 
 class InputError(Exception):
@@ -159,15 +160,6 @@ def _default_strategy(game: ParityGame, player: int) -> Strategy:
     )
 
 
-def _check_admissible(game: ParityGame, strategy: Strategy, name: str) -> None:
-    try:
-        valuate(game, strategy)
-    except NotAdmissibleError as exc:
-        raise InputError(f"{name} is not admissible: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"{name} is invalid: {exc}") from exc
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     inst = families.generate(args.family, args.n)
     text = pgsolver.write_pgsolver(inst.game)
@@ -184,7 +176,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def _resolve_solve_inputs(args: argparse.Namespace, needed: tuple[int, ...]):
     """The game, its name, and the start strategies: given by file, else the
-    family's, else a default for each player in ``needed``."""
+    family's, else a default for each player in ``needed``. Inputs the run
+    does not use are refused before any file is read."""
+    files = ((PLAYER0, "--sigma0", args.sigma0), (PLAYER1, "--tau0", args.tau0))
+    for p, flag, path in files:
+        if path and p not in needed:
+            raise InputError(f"run takes no player {p} start strategy for {flag}")
     if bool(args.game) == bool(args.family):
         raise InputError("choose exactly one of --game or --family")
     if args.family:
@@ -195,6 +192,8 @@ def _resolve_solve_inputs(args: argparse.Namespace, needed: tuple[int, ...]):
         game_id = f"{args.family}-n{args.n}"
         sigma0, tau0 = inst.sigma0, inst.tau0
     else:
+        if args.n is not None:
+            raise InputError("--n only applies to --family")
         game = _load_game(args.game)
         game_id = Path(args.game).name
         violations = validate_game(game, require_sink=True)
@@ -202,7 +201,7 @@ def _resolve_solve_inputs(args: argparse.Namespace, needed: tuple[int, ...]):
             raise InputError("; ".join(str(v) for v in violations))
         sigma0 = tau0 = None
     starts = [sigma0, tau0]
-    for p, flag, path in ((PLAYER0, "--sigma0", args.sigma0), (PLAYER1, "--tau0", args.tau0)):
+    for p, flag, path in files:
         if path:
             # untranslated, so that the parser sees the file's own line ends
             text = _read_text(path, newline="")
@@ -233,23 +232,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace and args.trace.endswith(".csv") and "\n" in game_id:
         raise InputError(f"a CSV trace cannot hold the game id {game_id!r}, which has a newline")
     rule = make_rule(args.rule, args.seed)
-    # only starts read from a file are checked here: a default start has
-    # passed is_admissible already, and a family's is admissible by
-    # construction (were it not, the run's first valuation would exit 3)
-    given = (args.sigma0, args.tau0)
-
-    if args.algo == "si":
-        start = sigma0 if player == PLAYER0 else tau0
-        if given[player]:
-            _check_admissible(game, start, "the initial strategy")
-        result = run_si(game, start, rule)
-    else:
-        if given[PLAYER0]:
-            _check_admissible(game, sigma0, "the initial player 0 strategy")
-        if given[PLAYER1]:
-            _check_admissible(game, tau0, "the initial player 1 strategy")
-        runner = run_ssi if args.algo == "ssi" else run_gssi
-        result = runner(game, sigma0, tau0, rule)
+    # the run's first valuation of each start is its admissibility check
+    try:
+        if args.algo == "si":
+            result = run_si(game, sigma0 if player == PLAYER0 else tau0, rule)
+        else:
+            runner = run_ssi if args.algo == "ssi" else run_gssi
+            result = runner(game, sigma0, tau0, rule)
+    except NotAdmissibleError as exc:
+        raise InputError(str(exc)) from exc
 
     status = traces.certificate_status(game, result)
     print(f"algorithm: {args.algo}")

@@ -25,9 +25,10 @@ The loops rewire both strategies simultaneously from one chosen set per
 iteration. A player is revalued when it has never been valued or has
 switched since: the first valuation starts cold, each later one resumes
 from the previous and recomputes only the backward cone of the switched
-nodes. An "iteration" is a pass that applies at least one switch; the
-final pass that only detects termination is recorded in the trace but not
-counted.
+nodes. The first valuation is also the admissibility check of a start: it
+raises ``NotAdmissibleError`` naming the start that fails it. An
+"iteration" is a pass that applies at least one switch; the final pass
+that only detects termination is recorded in the trace but not counted.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ from .valuation import (
     Valuation,
     counter_choices,
     game_index,
-    id_edges,
     improving_edges,
+    improving_moves,
     solve_values,
+    valuate,
     valuation_from_codes,
     weak_edges,
 )
@@ -176,7 +178,10 @@ def _run_loop(
                     codes[p] = solve_values(gi, first[p], p, codes[p], switched[p])
                 except NotAdmissibleError as exc:
                     if codes[p] is None:
-                        raise
+                        start = "" if mode == SI else f" player {p}"
+                        raise NotAdmissibleError(
+                            f"the initial{start} strategy is not admissible: {exc}"
+                        ) from exc
                     raise NotSinkGameError(
                         f"not a sink game: after improving switches player {p} "
                         "can keep the play from the sink on a cycle it wins"
@@ -269,24 +274,20 @@ def verify_optimal(game: ParityGame, sigma: Strategy, tau: Strategy) -> Optimali
     0's strategy first, and its violations are read off the two valuations.
     """
     check_strategy(game, sigma)
-    gi = game_index(game)
     try:
         check_strategy(game, tau)
     except ValueError:
         # as when valued in turn, an inadmissible sigma is reported first
-        solve_values(gi, gi.strategy_array(sigma), PLAYER0)
+        valuate(game, sigma)
         raise
+    gi = game_index(game)
     codes = _pair_codes(gi, gi.strategy_array(sigma, tau))
     if codes is not None:
         xi = valuation_from_codes(gi, codes, PLAYER0)
         return OptimalityCertificate(True, frozenset(), frozenset(), (), xi)
-    sigma_first, tau_first = gi.strategy_array(sigma), gi.strategy_array(tau)
-    xi_sigma = valuation_from_codes(gi, solve_values(gi, sigma_first, PLAYER0), PLAYER0)
-    xi_tau = valuation_from_codes(gi, solve_values(gi, tau_first, PLAYER1), PLAYER1)
-    imp_sigma, imp_tau = (
-        id_edges(gi, improving_edges(gi, first, xi.codes, xi.player))
-        for first, xi in ((sigma_first, xi_sigma), (tau_first, xi_tau))
-    )
+    xi_sigma, xi_tau = valuate(game, sigma), valuate(game, tau)
+    imp_sigma = improving_moves(game, sigma, xi_sigma)
+    imp_tau = improving_moves(game, tau, xi_tau)
     # both valuations share the game's codec and player 1's codes are
     # negated, so equal values have codes that sum to 0
     mismatched = tuple(

@@ -17,14 +17,18 @@ from dataclasses import dataclass
 from .game import ParityGame, Strategy, check_strategy
 from .pgsolver import MAX_DIGITS, int_reader, int_text
 from .solvers import SolveResult, verify_optimal
-from .valuation import improving_moves, valuate
+from .valuation import NotAdmissibleError
 
 Row = tuple[int, int, int, int]  # iteration, owner, from, to
 
+# numbers are runs of ASCII digits, as in game and strategy files
+_NUM = f"[0-9]{{1,{MAX_DIGITS}}}"
 # the keys in the order to_csv writes them; only the game id may hold blanks
 _CSV_HEADER = re.compile(
-    r"# game=(.*) algorithm=(\S*) rule=(\S*) seed=(\S*) nodes=(\S*) edges=(\S*)"
+    rf"# game=(.*) algorithm=(\S*) rule=(\S*) seed=(-|-?{_NUM}) nodes=({_NUM}) edges=({_NUM})"
 )
+_CSV_FOOTER = re.compile(rf"# iterations=({_NUM}) certificate=(\S*)")
+_CSV_ROW = re.compile(rf"({_NUM}),({_NUM}),({_NUM}),({_NUM})")
 
 
 @dataclass(frozen=True)
@@ -46,14 +50,21 @@ class TraceFile:
 
 
 def certificate_status(game: ParityGame, result: SolveResult) -> str:
-    """"verified" when the run's terminal strategies are optimal: the pair
-    check for two-strategy runs, no improving moves for one-strategy runs."""
-    if result.sigma is not None and result.tau is not None:
-        return "verified" if verify_optimal(game, result.sigma, result.tau).ok else "failed"
-    strategy = result.sigma if result.sigma is not None else result.tau
-    assert strategy is not None
-    xi = valuate(game, strategy)
-    return "verified" if not improving_moves(game, strategy, xi) else "failed"
+    """"verified" when the run's terminal strategies pass the pair check of
+    :func:`~sinkgames.solvers.verify_optimal`.
+
+    A one-strategy run is paired with the best response to its final
+    valuation, which passes exactly when the strategy has no improving move
+    (see :func:`~sinkgames.reduction.solve_winners`). The response to a
+    strategy that can still improve may be inadmissible; that reads as
+    "failed" too.
+    """
+    sigma = result.sigma if result.sigma is not None else result.xi_tau.counter
+    tau = result.tau if result.tau is not None else result.xi_sigma.counter
+    try:
+        return "verified" if verify_optimal(game, sigma, tau).ok else "failed"
+    except NotAdmissibleError:
+        return "failed"
 
 
 def build_trace_file(
@@ -102,18 +113,23 @@ def from_csv(text: str) -> TraceFile:
     head = _CSV_HEADER.fullmatch(lines[0])
     if head is None:
         raise ValueError("unexpected trace CSV header comment")
-    foot = dict(part.split("=", 1) for part in lines[-1].lstrip("# ").split())
+    foot = _CSV_FOOTER.fullmatch(lines[-1])
+    if foot is None:
+        raise ValueError("trace CSV footer must be '# iterations=<count> certificate=<status>'")
     if lines[1] != "iteration,owner,from,to":
         raise ValueError("unexpected trace CSV column header")
     rows = []
-    for line in lines[2:-1]:
-        it, owner, src, dst = line.split(",")
-        rows.append((int(it), int(owner), int(src), int(dst)))
+    for number, line in enumerate(lines[2:-1], start=1):
+        row = _CSV_ROW.fullmatch(line)
+        if row is None:
+            message = f"trace CSV row {number} must be four numbers 'iteration,owner,from,to'"
+            raise ValueError(message)
+        rows.append(tuple(map(int, row.groups())))
     game_id, algorithm, rule, seed, nodes, edges = head.groups()
     header = TraceHeader(
         game_id, algorithm, rule, None if seed == "-" else int(seed), int(nodes), int(edges)
     )
-    return TraceFile(header, tuple(rows), int(foot["iterations"]), foot["certificate"])
+    return TraceFile(header, tuple(rows), int(foot[1]), foot[2])
 
 
 def to_json(trace: TraceFile) -> str:
@@ -133,15 +149,38 @@ def to_json(trace: TraceFile) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# the members of each part of a JSON trace, with their types
+_JSON_PARTS = {
+    "file": {"header": dict, "rows": list, "footer": dict},
+    "header": {
+        "game": str, "algorithm": str, "rule": str, "seed": (int, type(None)),
+        "nodes": int, "edges": int,
+    },
+    "footer": {"iterations": int, "certificate": str},
+}
+
+
+def _members(part: object, name: str) -> list:
+    if not isinstance(part, dict):
+        raise ValueError(f"trace JSON {name} is not an object")
+    values = []
+    for key, kind in _JSON_PARTS[name].items():
+        if key not in part:
+            raise ValueError(f"trace JSON {name} has no {key!r}")
+        if isinstance(part[key], bool) or not isinstance(part[key], kind):
+            raise ValueError(f"trace JSON {name} has a malformed {key!r}")
+        values.append(part[key])
+    return values
+
+
 def from_json(text: str) -> TraceFile:
-    payload = json.loads(text)
-    h = payload["header"]
-    header = TraceHeader(
-        h["game"], h["algorithm"], h["rule"], h["seed"], h["nodes"], h["edges"]
-    )
-    rows = tuple(tuple(row) for row in payload["rows"])
-    footer = payload["footer"]
-    return TraceFile(header, rows, footer["iterations"], footer["certificate"])
+    h, rows, footer = _members(json.loads(text), "file")
+    header = TraceHeader(*_members(h, "header"))
+    iterations, certificate = _members(footer, "footer")
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 4 and all(type(x) is int for x in row)):
+            raise ValueError("trace JSON rows must be lists of four integers")
+    return TraceFile(header, tuple(map(tuple, rows)), iterations, certificate)
 
 
 def write_strategy_text(strategy: Strategy) -> str:

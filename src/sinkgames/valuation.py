@@ -476,7 +476,7 @@ def weak_edges(
     return [(v, w) for v, w in edges if opponent_codes[w] <= opponent_codes[strat[v]]]
 
 
-def id_edges(gi: GameIndex, edges: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+def _id_edges(gi: GameIndex, edges: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     ids = gi.ids
     return frozenset((ids[v], ids[w]) for v, w in edges)
 
@@ -490,7 +490,7 @@ def improving_moves(
     check_strategy(game, strategy)
     gi = game_index(game)
     strat = gi.strategy_array(strategy)
-    return id_edges(gi, improving_edges(gi, strat, xi.codes, strategy.player))
+    return _id_edges(gi, improving_edges(gi, strat, xi.codes, strategy.player))
 
 
 def j_set(
@@ -503,4 +503,4 @@ def j_set(
     gi = game_index(game)
     strat = gi.strategy_array(strategy)
     edges = [(v, w) for v in gi.nodes[strategy.player] for w in gi.succ[v]]
-    return id_edges(gi, weak_edges(edges, strat, xi_opponent.codes))
+    return _id_edges(gi, weak_edges(edges, strat, xi_opponent.codes))

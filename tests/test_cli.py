@@ -31,6 +31,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _ladder_files(tmp_path):
+    """The ``table1`` n=3 game and its start strategies, written to files."""
+    inst = gen_table1(3)
+    files = {"game": tmp_path / "g.pg", "sigma0": tmp_path / "s0", "tau0": tmp_path / "t0"}
+    files["game"].write_text(write_pgsolver(inst.game))
+    files["sigma0"].write_text(traces.write_strategy_text(inst.sigma0))
+    files["tau0"].write_text(traces.write_strategy_text(inst.tau0))
+    return files
+
+
 class TestGenerate:
     def test_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "table1", "--n", "1")
@@ -348,6 +358,22 @@ class TestSolve:
         assert err == f"error: run produced no player {player} strategy for {flag}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--algo", "si", "--game", "{game}", "--tau0", "{tau0}"),
+             "run takes no player 1 start strategy for --tau0"),
+            (("--algo", "si", "--player", "1", "--game", "{game}", "--sigma0", "{sigma0}"),
+             "run takes no player 0 start strategy for --sigma0"),
+            (("--algo", "ssi", "--game", "{game}", "--n", "7"), "--n only applies to --family"),
+        ],
+        ids=["si-tau0", "si-player1-sigma0", "n-with-game"],
+    )
+    def test_unused_input_is_refused(self, tmp_path, capsys, flags, message):
+        files = _ladder_files(tmp_path)
+        code, out, err = run_cli(capsys, "solve", *(f.format(**files) for f in flags))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 def _loose_sink_game(rng):
     """A sink game whose nodes need not reach the sink, so that a default
@@ -401,14 +427,20 @@ class TestDefaultStarts:
             (("--algo", "ssi", "--game", "{game}"), 2),
             (("--algo", "si", "--game", "{game}"), 1),
             (("--algo", "ssi", "--family", "table1", "--n", "3"), 0),
+            (("--algo", "si", "--game", "{game}", "--sigma0", "{sigma0}"), 0),
+            (("--algo", "ssi", "--game", "{game}", "--sigma0", "{sigma0}", "--tau0", "{tau0}"), 0),
+            (("--algo", "si", "--family", "table1", "--n", "3"), 0),
         ],
-        ids=["ssi-defaults", "si-default", "ssi-family"],
+        ids=["ssi-defaults", "si-default", "ssi-family", "si-file", "ssi-files", "si-family"],
     )
     def test_each_start_is_valued_once_before_the_run(
         self, tmp_path, capsys, monkeypatch, flags, before
     ):
-        # a default start has passed is_admissible and a family's is
-        # admissible by construction, so neither is checked again
+        # only a default start is valued before the run, by is_admissible:
+        # the run's own first valuation is the check of a start read from a
+        # file, and a family's start is admissible by construction. Nothing
+        # is valued after the run: the pair check accepts the final
+        # strategies, or an si run's and its best response, from their plays
         calls = []
         solve = valuation_module.solve_values
 
@@ -427,11 +459,11 @@ class TestDefaultStarts:
         monkeypatch.setattr(valuation_module, "solve_values", counted)
         monkeypatch.setattr(cli, "run_ssi", recorded(cli.run_ssi))
         monkeypatch.setattr(cli, "run_si", recorded(cli.run_si))
-        game_file = tmp_path / "g.pg"
-        game_file.write_text(write_pgsolver(gen_table1(3).game))
-        code, out, err = run_cli(capsys, "solve", *(f.format(game=game_file) for f in flags))
+        files = _ladder_files(tmp_path)
+        code, out, err = run_cli(capsys, "solve", *(f.format(**files) for f in flags))
         assert (code, err) == (0, "")
         assert runs == [before]
+        assert len(calls) == before
 
 
 class TestReduce:

@@ -9,6 +9,7 @@ from conftest import admissible_pair, random_parity_game, random_sink_game
 from oracle_reference import enumerate_optimal_strategy
 from sinkgames.families import gen_table1, gen_table2, generate, optimal_table1
 from sinkgames.game import ParityGame, Strategy
+from sinkgames.pgsolver import parse_pgsolver
 from sinkgames.reduction import reduce_game, trivial_strategies
 from sinkgames.rules import make_rule, switch_all_rule
 from sinkgames.solvers import (
@@ -123,6 +124,39 @@ class TestRunGssi:
         result = run_gssi(inst.game, inst.sigma0, inst.tau0, switch_all_rule())
         assert result.iterations < 2 ** (n + 1) - 3
         assert verify_optimal(inst.game, result.sigma, result.tau).ok
+
+
+class TestInadmissibleStart:
+    # player 1 keeps the play on 1 <-> 2, whose top priority 3 is odd, when
+    # player 0 moves 1 -> 2; player 0 keeps it on 3 <-> 4, whose top
+    # priority 4 is even, when player 1 moves 4 -> 3
+    GAME = "parity 4;\n0 0 0 0;\n1 3 0 0,2;\n2 1 1 0,1;\n3 2 0 0,4;\n4 4 1 0,3;\n"
+    SIGMA = {"good": {0: 0, 1: 0, 3: 0}, "bad": {0: 0, 1: 2, 3: 0}}
+    TAU = {"good": {2: 0, 4: 0}, "bad": {2: 0, 4: 3}}
+
+    @pytest.mark.parametrize(
+        "runner, sigma, tau, start",
+        [
+            (run_si, "bad", None, "initial strategy"),
+            (run_si, None, "bad", "initial strategy"),
+            (run_ssi, "bad", "good", "initial player 0 strategy"),
+            (run_ssi, "good", "bad", "initial player 1 strategy"),
+            (run_gssi, "bad", "good", "initial player 0 strategy"),
+            (run_gssi, "good", "bad", "initial player 1 strategy"),
+            (run_gssi, "bad", "bad", "initial player 0 strategy"),
+        ],
+        ids=["si-0", "si-1", "ssi-0", "ssi-1", "gssi-0", "gssi-1", "gssi-both"],
+    )
+    def test_error_names_the_start(self, runner, sigma, tau, start):
+        game = parse_pgsolver(self.GAME)
+        starts = [
+            Strategy(p, choices[name])
+            for p, choices, name in ((0, self.SIGMA, sigma), (1, self.TAU, tau))
+            if name is not None
+        ]
+        message = f"the {start} is not admissible: valuation fixpoint did not stabilize"
+        with pytest.raises(NotAdmissibleError, match=f"^{message}$"):
+            runner(game, *starts, switch_all_rule())
 
 
 class TestTrace:

@@ -1,10 +1,15 @@
 """Trace file serialization and strategy files."""
 
+import json
+import random
+import re
+
 import pytest
 
+from conftest import random_admissible_strategy, random_sink_game
 from sinkgames.families import gen_table1
 from sinkgames.rules import switch_all_rule
-from sinkgames.solvers import run_ssi
+from sinkgames.solvers import IterationTrace, SolveResult, run_ssi
 from sinkgames.traces import (
     build_trace_file,
     certificate_status,
@@ -15,6 +20,7 @@ from sinkgames.traces import (
     to_json,
     write_strategy_text,
 )
+from sinkgames.valuation import improving_moves, is_admissible, valuate
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +108,79 @@ class TestTraceFile:
         assert lines[0].startswith("# game=table1-n3 algorithm=ssi rule=all seed=-")
         assert lines[1] == "iteration,owner,from,to"
         assert lines[-1].startswith("# iterations=13 certificate=verified")
+
+
+    @pytest.mark.parametrize("seed", [-5, 0, 12345678901234567890])
+    def test_roundtrip_with_any_seed(self, ladder_run, seed):
+        inst, result, trace = ladder_run
+        seeded = build_trace_file(
+            inst.game, result, "g.pg", "ssi", "random", seed, certificate=trace.certificate
+        )
+        assert from_csv(to_csv(seeded)) == seeded == from_json(to_json(seeded))
+
+
+def _csv_footer(line):
+    return lambda text: text.replace("# iterations=13 certificate=verified", line)
+
+
+def _json_edit(change):
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "reader, edit, message",
+    [
+        (from_csv, _csv_footer("# certificate=verified"), "footer"),
+        (from_csv, _csv_footer("# iterations=13 certificate"), "footer"),
+        (from_csv, _csv_footer("# iterations=x certificate=verified"), "footer"),
+        (from_csv, lambda text: text.replace("\n1,0,", "\n\u0661,0,", 1), "row 1 "),
+        (from_csv, lambda text: text.replace("\n1,0,0,5\n", "\n1,0,0\n", 1), "row 1 "),
+        (from_json, lambda text: '{"header": {}}', "has no 'rows'"),
+        (from_json, lambda text: "[]", "file is not an object"),
+        (from_json, _json_edit(lambda p: p["header"].pop("game")), "header has no 'game'"),
+        (from_json, _json_edit(lambda p: p["footer"].pop("certificate")), "footer has no 'certificate'"),
+        (from_json, _json_edit(lambda p: p["rows"][0].pop()), "rows"),
+        (from_json, _json_edit(lambda p: p["header"].update(nodes="8")), "malformed 'nodes'"),
+        (from_json, _json_edit(lambda p: p["footer"].update(iterations=True)), "'iterations'"),
+    ],
+    ids=[
+        "csv-footer-no-iterations", "csv-footer-token-without-value", "csv-footer-not-a-number",
+        "csv-arabic-indic-digit", "csv-short-row", "json-header-only", "json-list",
+        "json-header-no-game", "json-footer-no-certificate", "json-short-row",
+        "json-nodes-not-a-number", "json-iterations-not-a-number",
+    ],
+)
+def test_malformed_trace_raises_value_error_naming_the_part(ladder_run, reader, edit, message):
+    _, _, trace = ladder_run
+    text = edit((to_csv if reader is from_csv else to_json)(trace))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reader(text)
+
+
+def test_one_strategy_certificate_is_the_pair_check_with_the_best_response():
+    # a one-strategy result is verified exactly when its strategy has no
+    # improving move; the best response to one that has may be inadmissible
+    statuses = {"verified": 0, "failed": 0}
+    inadmissible_responses = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        game = random_sink_game(rng)
+        for player in (0, 1):
+            strategy = random_admissible_strategy(game, player, rng)
+            xi = valuate(game, strategy)
+            own = (strategy, xi) if player == 0 else (None, None)
+            other = (None, None) if player == 0 else (strategy, xi)
+            result = SolveResult(own[0], other[0], own[1], other[1], 0, IterationTrace(()))
+            expected = "failed" if improving_moves(game, strategy, xi) else "verified"
+            assert certificate_status(game, result) == expected
+            statuses[expected] += 1
+            inadmissible_responses += not is_admissible(game, xi.counter)
+    assert statuses == {"verified": 304, "failed": 296}
+    assert inadmissible_responses == 136
 
 
 class TestStrategyFiles:
