@@ -58,7 +58,7 @@ from .reduction import (
     solve_winners,
     trivial_strategies,
 )
-from .pgsolver import ParseError, parse_pgsolver, write_pgsolver
+from .pgsolver import ParseError, parse_pgsolver, pgsolver_lines, write_pgsolver
 from .traces import (
     TraceFile,
     TraceHeader,

@@ -13,6 +13,7 @@ import functools
 import sys
 from collections import deque
 from pathlib import Path
+from typing import Iterable
 
 from . import families, pgsolver, reduction, traces
 from .game import PLAYER0, PLAYER1, ParityGame, Strategy, validate_game
@@ -109,11 +110,17 @@ def _read_text(path: str, newline: str | None = None) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write the strings of ``lines`` in turn, each as soon as it is made."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as handle:
+            handle.writelines(lines)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    _write_lines(path, (text,))
 
 
 def _load_game(path: str) -> ParityGame:
@@ -162,11 +169,11 @@ def _default_strategy(game: ParityGame, player: int) -> Strategy:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     inst = families.generate(args.family, args.n)
-    text = pgsolver.write_pgsolver(inst.game)
+    lines = pgsolver.pgsolver_lines(inst.game)
     if args.out:
-        _write_text(args.out, text)
+        _write_lines(args.out, lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     if args.sigma0_out:
         _write_text(args.sigma0_out, traces.write_strategy_text(inst.sigma0))
     if args.tau0_out:
@@ -268,13 +275,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    game = _load_game(args.game)
-    reduced, _ = reduction.reduce_game(game)
+    # neither the parsed game nor the reduction map is kept, and the text is
+    # written as it is made, so one game at a time is held in full
+    reduced = reduction.reduce_game(_load_game(args.game))[0]
     try:
-        text = pgsolver.write_pgsolver(reduced)
+        lines = pgsolver.pgsolver_lines(reduced)
     except ValueError as exc:
         raise InputError(f"cannot write the reduced game: {exc}") from exc
-    _write_text(args.out, text)
+    _write_lines(args.out, lines)
     return 0
 
 

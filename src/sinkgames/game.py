@@ -1,9 +1,9 @@
 """Game graphs, positional strategies and validation.
 
 A game is built from parallel columns and keeps them as owner, priority,
-label and successor dicts keyed by node id, in ascending id order. Games are
-immutable after construction and all operations here are pure, so shared
-instances are safe to use concurrently.
+label and successor lists in ascending id order, with one dict from node id
+to list position. Games are immutable after construction and all operations
+here are pure, so shared instances are safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class ParityGame:
     caches the derived ``GameIndex``; a race between threads at worst builds it twice.
     """
 
-    __slots__ = ("_ids", "_owner", "_priority", "_label", "_edges", "sink", "_index")
+    __slots__ = ("_ids", "_pos", "_owners", "_priorities", "_labels", "_rows", "sink", "_index")
 
     def __init__(
         self,
@@ -55,10 +55,10 @@ class ParityGame:
         and a failed one rescans in node order to name the first offender."""
         if not len(ids) == len(owners) == len(priorities) == len(labels) == len(successors):
             raise ValueError("columns differ in length")
-        owner = dict(zip(ids, owners))
+        pos = dict(zip(ids, range(len(ids))))
         # True and 1.0 equal 1, so an owner's type is checked apart from its value
         if (
-            len(owner) < len(ids)
+            len(pos) < len(ids)
             or ids and min(ids) < 0
             or not set(owners) <= {PLAYER0, PLAYER1}
             or not set(map(type, owners)) <= {int}
@@ -72,15 +72,16 @@ class ParityGame:
                 if type(who) is not int or who not in (PLAYER0, PLAYER1):
                     raise ValueError(f"node {v} has invalid owner {who!r}")
                 seen.add(v)
-        if sink is not None and sink not in owner:
+        if sink is not None and sink not in pos:
             raise ValueError(f"sink {sink} is not a node")
+        columns = [list(owners), list(priorities), list(labels), list(map(tuple, successors))]
         order = sorted(ids)
-        rows = map(tuple, successors)
-        dicts = [owner] + [dict(zip(ids, column)) for column in (priorities, labels, rows)]
-        if order != list(ids):  # every dict iterates in ascending id order
-            dicts = [{v: column[v] for v in order} for column in dicts]
+        if order != list(ids):  # every column is kept in ascending id order
+            columns = [[column[pos[v]] for v in order] for column in columns]
+            pos = dict(zip(order, range(len(order))))
         self._ids = tuple(order)
-        self._owner, self._priority, self._label, self._edges = dicts
+        self._pos = pos
+        self._owners, self._priorities, self._labels, self._rows = columns
         self.sink = sink
         self._index = None  # filled by sinkgames.valuation.game_index
 
@@ -91,23 +92,23 @@ class ParityGame:
     def columns(self) -> Columns:
         """Fresh lists in ascending id order: ids, owners, priorities,
         labels and successor tuples."""
-        columns = (self._owner, self._priority, self._label, self._edges)
-        return (list(self._ids), *(list(column.values()) for column in columns))
+        columns = (self._ids, self._owners, self._priorities, self._labels, self._rows)
+        return tuple(map(list, columns))
 
     def owner(self, v: int) -> int:
-        return self._owner[v]
+        return self._owners[self._pos[v]]
 
     def priority(self, v: int) -> int:
-        return self._priority[v]
+        return self._priorities[self._pos[v]]
 
     def label(self, v: int) -> str | None:
-        return self._label[v]
+        return self._labels[self._pos[v]]
 
     def successors(self, v: int) -> tuple[int, ...]:
-        return self._edges[v]
+        return self._rows[self._pos[v]]
 
     def nodes_of(self, player: int) -> tuple[int, ...]:
-        return tuple([v for v, owner in self._owner.items() if owner == player])
+        return tuple([v for v, owner in zip(self._ids, self._owners) if owner == player])
 
     @property
     def num_nodes(self) -> int:
@@ -115,10 +116,10 @@ class ParityGame:
 
     @property
     def num_edges(self) -> int:
-        return sum(map(len, self._edges.values()))
+        return sum(map(len, self._rows))
 
     def __contains__(self, v: int) -> bool:
-        return v in self._owner
+        return v in self._pos
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParityGame):

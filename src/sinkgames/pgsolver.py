@@ -11,24 +11,25 @@ the ASCII digits ``0``-``9``; any other digit is an unexpected character.
 Owners are 0 or 1 and priorities are nonnegative. With a header, no node id
 may exceed its ``<max-id>``. A label runs to the next ``"`` on its line, so
 it may contain ``;`` but not ``"`` or a line break. The writer refuses such
-labels, negative priorities and longer numbers, and otherwise emits a
-canonical form (header, one node per line in ascending id order) that
-parses back to the same in-memory game; the sink designation is
-re-inferred on parse.
+labels, negative priorities, longer numbers and a game without nodes, and
+otherwise emits a canonical form (header, one node per line in ascending id
+order) that parses back to the same in-memory game; the sink designation is
+re-inferred on parse. :func:`pgsolver_lines` makes that form line by line,
+for writing a large game without holding all of its text.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from typing import Callable, NoReturn
+from typing import Callable, Iterator, NoReturn
 
 from .game import ParityGame, sink_of
 
 # The most digits of a number: the parser's own cap, so that every Python
 # refuses the same files, set to the default int() limit of Python 3.11.
 MAX_DIGITS = 4300
-_NUMBER_END = 10**MAX_DIGITS  # the least number with more digits
+NUMBER_END = 10**MAX_DIGITS  # the least number with more digits
 # int() refuses a run of more digits than sys.get_int_max_str_digits(),
 # which a caller may lower as far as 640; runs of at most 640 it always reads
 _SAFE_DIGITS = 640
@@ -215,20 +216,40 @@ def parse_pgsolver(text: str) -> ParityGame:
     return ParityGame(ids, owners, priorities, labels, rows, sink=sink)
 
 
+def pgsolver_lines(game: ParityGame) -> Iterator[str]:
+    """The lines of :func:`write_pgsolver`'s text, each with its line break,
+    made one at a time. The game is checked in this call, so a game that
+    has no such text raises ValueError before the first line is made."""
+    ids, owners, priorities, labels, rows = game.columns()
+    if not ids:
+        raise ValueError("a game without nodes has no PGSolver text")
+    if max(ids) >= NUMBER_END or max(priorities) >= NUMBER_END:
+        raise ValueError(f"a node id or priority has more than {MAX_DIGITS} digits")
+    # whole-column checks first; a failed one rescans to name the first node
+    label_text = "".join(filter(None, labels))
+    if min(priorities) < 0 or '"' in label_text or "\n" in label_text:
+        for v, priority, label in zip(ids, priorities, labels):
+            if priority < 0:
+                message = f"node {v} has negative priority {priority}; shift priorities first"
+            elif label is not None and ('"' in label or "\n" in label):
+                message = f"node {v} has label {label!r}; labels cannot hold '\"' or a line break"
+            else:
+                continue
+            raise ValueError(message)
+
+    def lines() -> Iterator[str]:
+        yield f"parity {max(ids)};\n"
+        for v, owner, priority, label, row in zip(ids, owners, priorities, labels, rows):
+            label = "" if label is None else f' "{label}"'
+            yield f"{v} {priority} {owner} {','.join(map(str, row))}{label};\n"
+
+    return lines()
+
+
 def write_pgsolver(game: ParityGame) -> str:
     """Canonical text form: ascending node ids, adjacency order preserved,
     labels quoted. Priorities must be nonnegative, ids and priorities must
-    have at most MAX_DIGITS digits, and labels must hold neither ``"`` nor
-    a line break, or the text would not parse back."""
-    ids, owners, priorities, labels, rows = game.columns()
-    if max(ids) >= _NUMBER_END or max(priorities) >= _NUMBER_END:
-        raise ValueError(f"a node id or priority has more than {MAX_DIGITS} digits")
-    lines = [f"parity {max(ids)};"]
-    for v, owner, priority, label, row in zip(ids, owners, priorities, labels, rows):
-        if priority < 0:
-            raise ValueError(f"node {v} has negative priority {priority}; shift priorities first")
-        if label is not None and ('"' in label or "\n" in label):
-            raise ValueError(f"node {v} has label {label!r}; labels cannot hold '\"' or a line break")
-        label = "" if label is None else f' "{label}"'
-        lines.append(f"{v} {priority} {owner} {','.join(map(str, row))}{label};")
-    return "\n".join(lines) + "\n"
+    have at most MAX_DIGITS digits, labels must hold neither ``"`` nor a
+    line break, and the game must have a node, or the text would not parse
+    back."""
+    return "".join(pgsolver_lines(game))

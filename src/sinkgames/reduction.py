@@ -87,9 +87,10 @@ def _subdivide(cols: Columns) -> dict[int, tuple[int, int]]:
 
 def _attach_sink(cols: Columns) -> tuple[int, int, int]:
     """Append to ``cols`` the sink ``top`` one priority below every node and
-    ``w`` at the least even priority above every node, and give each player
-    0 node an escape to ``top`` and each player 1 node an escape to ``w``.
-    Returns ``top``, ``w`` and the priority of ``w``."""
+    ``w`` at the least even priority above every node, give each player 0
+    node an escape to ``top`` and each player 1 node an escape to ``w``, and
+    shift every priority by the least even amount that lifts the sink's to 0
+    or more. Returns ``top``, ``w`` and the shifted priority of ``w``."""
     ids, owners, priorities, labels, rows = cols
     top = ids[-1] + 1
     w = top + 1
@@ -100,9 +101,11 @@ def _attach_sink(cols: Columns) -> tuple[int, int, int]:
     ids += (top, w)
     owners += (PLAYER0, PLAYER1)
     priorities += (low - 1, pw)
+    shift = _even_shift(low - 1)
+    priorities[:] = [priority + shift for priority in priorities]
     labels += ("top", "w")
     rows += ((top,), (top,))
-    return top, w, pw
+    return top, w, pw + shift
 
 
 def reduce_game(game: ParityGame) -> tuple[ParityGame, ReductionMap]:
@@ -112,16 +115,22 @@ def reduce_game(game: ParityGame) -> tuple[ParityGame, ReductionMap]:
 
     Subdivision leaves no edge between two nodes of one owner, so no cycle
     stays within one player's nodes; the escapes added after it lead only
-    to the sink and ``w``.
+    to the sink and ``w``. Only copies of the columns of ``game`` are kept,
+    so a game that the caller does not keep is freed before the sink game
+    is built.
     """
     cols = game.columns()
+    del game
+    originals = len(cols[0])
+    if not originals:
+        raise ValueError("a game without nodes has no sink game")
     breakers = _subdivide(cols)
-    ids, owners, priorities, labels, rows = cols
     top, w, pw = _attach_sink(cols)
-    shift = _even_shift(min(priorities))
-    rmap = ReductionMap(frozenset(game.node_ids), breakers, w=w, sink=top, pw=pw + shift)
-    priorities = [priority + shift for priority in priorities]
-    return ParityGame(ids, owners, priorities, labels, rows, sink=top), rmap
+    reduced = ParityGame(*cols, sink=top)
+    del cols
+    # the original ids lead: every added node's id is higher
+    rmap = ReductionMap(frozenset(reduced.node_ids[:originals]), breakers, w=w, sink=top, pw=pw)
+    return reduced, rmap
 
 
 def trivial_strategies(reduced: ParityGame, rmap: ReductionMap) -> tuple[Strategy, Strategy]:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .game import ParityGame, Strategy, check_strategy
-from .pgsolver import MAX_DIGITS, int_reader, int_text
+from .pgsolver import MAX_DIGITS, NUMBER_END, int_reader, int_text
 from .solvers import SolveResult, verify_optimal
 from .valuation import NotAdmissibleError
 
@@ -160,16 +160,30 @@ _JSON_PARTS = {
 }
 
 
+# the numbers that, as in a CSV trace, cannot be negative; the seed can
+_NATURAL = {"nodes", "edges", "iterations"}
+
+
 def _members(part: object, name: str) -> list:
+    """The members of a part in order. As in the CSV form, a number has at
+    most MAX_DIGITS digits, whatever the interpreter's own int digit limit,
+    and only the seed may be negative."""
     if not isinstance(part, dict):
         raise ValueError(f"trace JSON {name} is not an object")
     values = []
     for key, kind in _JSON_PARTS[name].items():
         if key not in part:
             raise ValueError(f"trace JSON {name} has no {key!r}")
-        if isinstance(part[key], bool) or not isinstance(part[key], kind):
+        value = part[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"trace JSON {name} has a malformed {key!r}")
-        values.append(part[key])
+        if type(value) is int:
+            if key in _NATURAL and value < 0:
+                raise ValueError(f"trace JSON {name} has a negative {key!r}")
+            if abs(value) >= NUMBER_END:
+                message = f"trace JSON {name} has a {key!r} of more than {MAX_DIGITS} digits"
+                raise ValueError(message)
+        values.append(value)
     return values
 
 
@@ -177,9 +191,12 @@ def from_json(text: str) -> TraceFile:
     h, rows, footer = _members(json.loads(text), "file")
     header = TraceHeader(*_members(h, "header"))
     iterations, certificate = _members(footer, "footer")
-    for row in rows:
+    for number, row in enumerate(rows, start=1):
         if not (isinstance(row, list) and len(row) == 4 and all(type(x) is int for x in row)):
             raise ValueError("trace JSON rows must be lists of four integers")
+        if not all(0 <= x < NUMBER_END for x in row):
+            message = f"trace JSON row {number} must be four nonnegative numbers"
+            raise ValueError(f"{message} of at most {MAX_DIGITS} digits")
     return TraceFile(header, tuple(map(tuple, rows)), iterations, certificate)
 
 

@@ -1,12 +1,14 @@
 """End-to-end command-line behavior and exit codes."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_parity_game, random_sink_game
 from oracle_reference import brute_force_winners
-from sinkgames import cli, traces
+from sinkgames import cli, families, traces
 from sinkgames import valuation as valuation_module
 from sinkgames.cli import main
 from sinkgames.families import gen_table1
@@ -540,6 +542,92 @@ def test_reduced_ids_past_the_cap_are_an_input_error(tmp_path, capsys):
         "error: cannot write the reduced game: a node id or priority has more than 4300 digits\n"
     )
     assert not out_file.exists()
+
+
+def test_a_refused_reduction_leaves_an_existing_out_file_unchanged(tmp_path, capsys):
+    # the reduced game would need the 4,301-digit id 10**4300 for its first
+    # new node; the refusal comes before the output file is opened
+    top = "9" * MAX_DIGITS
+    game_file, out_file = tmp_path / "in.pg", tmp_path / "out.pg"
+    game_file.write_text(f"{top} 1 0 {top};\n")
+    out_file.write_bytes(b"earlier contents\n")
+    code, out, err = run_cli(capsys, "reduce", "--game", str(game_file), "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: cannot write the reduced game: a node id or priority has more than 4300 digits\n"
+    )
+    assert out_file.read_bytes() == b"earlier contents\n"
+
+
+def _labelled_game(rng: random.Random, n: int) -> ParityGame:
+    """A seeded game of ``n`` nodes with gaps in its ids and some labels."""
+    _, owners, priorities, _, successors = random_parity_game(rng, n, n).columns()
+    ids = [3 * v + rng.randint(0, 2) for v in range(n)]
+    labels = [rng.choice([None, "", f"node {v};"]) for v in range(n)]
+    successors = [[ids[w] for w in row] for row in successors]
+    return ParityGame(ids, owners, priorities, labels, successors)
+
+
+def _shuffled_text(game: ParityGame, rng: random.Random) -> str:
+    """The PGSolver text of ``game`` with its node statements in random
+    id order."""
+    head, *lines = write_pgsolver(game).splitlines(keepends=True)
+    rng.shuffle(lines)
+    return head + "".join(lines)
+
+
+class TestStreamedOutput:
+    """The commands write a game's text line by line as it is made; the
+    written bytes are those of ``write_pgsolver``."""
+
+    @pytest.mark.parametrize("seed, n", [(1, 50), (2, 333), (3, 2000)])
+    def test_reduce_writes_the_text_of_the_reduced_game(self, tmp_path, capsys, seed, n):
+        rng = random.Random(seed)
+        text = _shuffled_text(_labelled_game(rng, n), rng)
+        game_file, out_file = tmp_path / "in.pg", tmp_path / "out.pg"
+        game_file.write_text(text)
+        code, out, err = run_cli(capsys, "reduce", "--game", str(game_file), "--out", str(out_file))
+        assert (code, out, err) == (0, "", "")
+        expected = write_pgsolver(reduce_game(parse_pgsolver(text))[0])
+        assert out_file.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("family, n", [("table1", 1), ("table1", 9), ("table2", 6)])
+    def test_generate_writes_the_text_of_the_family_game(self, tmp_path, capsys, family, n):
+        expected = write_pgsolver(families.generate(family, n).game)
+        code, out, err = run_cli(capsys, "generate", family, "--n", str(n))
+        assert (code, out, err) == (0, expected, "")
+        out_file = tmp_path / "g.pg"
+        code, out, err = run_cli(capsys, "generate", family, "--n", str(n), "--out", str(out_file))
+        assert (code, out, err) == (0, "", "")
+        assert out_file.read_bytes() == expected.encode()
+
+
+def test_reduce_peak_memory_is_within_a_bound_of_the_reduced_game(tmp_path):
+    """Under tracemalloc, ``reduce`` on a seeded 5,000-node game peaks at no
+    more than 2.1 times the size of the reduced game alone: the parsed game
+    is freed once its columns are copied, the reduction map is not kept,
+    and the output is written as it is made."""
+    game_file, out_file = tmp_path / "in.pg", tmp_path / "out.pg"
+    game_file.write_text(write_pgsolver(random_parity_game(random.Random(5000), 5000, 5000)))
+    text = game_file.read_text()
+    argv = ["reduce", "--game", str(game_file), "--out", str(out_file)]
+    main(argv)  # fills the caches of a first call, such as the shared parser
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reduced = reduce_game(parse_pgsolver(text))[0]
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0] - base
+        del reduced
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * size, (peak, size)
 
 
 def test_undecodable_file_is_an_input_error(tmp_path, capsys):

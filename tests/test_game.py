@@ -141,6 +141,42 @@ class TestFromColumns:
         assert ParityGame(*game.columns(), sink=game.sink) == game
         assert game.columns()[0] == list(game.node_ids)
 
+    @staticmethod
+    def _gapped_game() -> ParityGame:
+        # unsorted ids with gaps, so that a node's id is not its position
+        return ParityGame([9, 1, 4], [1, 0, 1], [5, 3, 2], ["nine", None, ""], [[1, 9], (4,), [9]])
+
+    def test_accessors_read_the_columns(self):
+        game = self._gapped_game()
+        ids, owners, priorities, labels, successors = game.columns()
+        assert ids == [1, 4, 9] and list(game.node_ids) == ids
+        for v, owner, priority, label, row in zip(ids, owners, priorities, labels, successors):
+            assert (game.owner(v), game.priority(v), game.label(v), game.successors(v)) == (
+                owner, priority, label, row
+            )
+        assert game.nodes_of(1) == (4, 9) and game.num_edges == 4
+
+    def test_mutating_the_returned_columns_leaves_the_game_unchanged(self):
+        game = self._gapped_game()
+        expected = game.columns()
+        columns = game.columns()
+        for column in columns:
+            column.reverse()
+            column.append(0)
+        columns[3][0] = "changed"
+        assert game.columns() == expected
+        assert game.node_ids == (1, 4, 9)
+        assert (game.owner(9), game.label(9), game.successors(9)) == (1, "nine", (1, 9))
+
+    @pytest.mark.parametrize("v", [0, 2, 3, 10, -1, -3], ids=lambda v: f"id{v}")
+    def test_accessors_raise_key_error_for_a_non_node(self, v):
+        # 0, 2 and -1 to -3 are valid positions in the columns, but no node ids
+        game = self._gapped_game()
+        assert v not in game
+        for accessor in (game.owner, game.priority, game.label, game.successors):
+            with pytest.raises(KeyError):
+                accessor(v)
+
 
 class TestStrategySubgraph:
     def test_ladder_restriction(self):

@@ -11,7 +11,13 @@ import pgsolver_reference as reference
 from conftest import random_parity_game
 from sinkgames.families import gen_table1, gen_table2
 from sinkgames.game import ParityGame, validate_game
-from sinkgames.pgsolver import MAX_DIGITS, ParseError, parse_pgsolver, write_pgsolver
+from sinkgames.pgsolver import (
+    MAX_DIGITS,
+    ParseError,
+    parse_pgsolver,
+    pgsolver_lines,
+    write_pgsolver,
+)
 from sinkgames.reduction import reduce_game
 from sinkgames.traces import parse_strategy_text
 
@@ -270,6 +276,36 @@ class TestWrite:
         game = ParityGame([0], [0], [1], [label], [(0,)])
         with pytest.raises(ValueError, match="label"):
             write_pgsolver(game)
+
+    @pytest.mark.parametrize(
+        "game, message",
+        [
+            (ParityGame([0, 1], [0, 1], [2, -1], [None, None], [(1,), (0,)]), "negative priority"),
+            (ParityGame([0, 1], [0, 1], [2, 1], [None, 'a"b'], [(1,), (0,)]), "label"),
+            (ParityGame([10**4300], [0], [1], [None], [(0,)]), "4300 digits"),
+            (ParityGame([], [], [], [], []), "^a game without nodes has no PGSolver text$"),
+        ],
+        ids=["negative-priority", "quote-in-label", "long-id", "no-nodes"],
+    )
+    def test_lines_are_refused_before_the_first_is_made(self, game, message):
+        # the call itself raises, before any line is asked for
+        with pytest.raises(ValueError, match=message):
+            pgsolver_lines(game)
+        with pytest.raises(ValueError, match=message):
+            write_pgsolver(game)
+
+    def test_first_offending_node_is_named_whatever_its_fault(self):
+        game = ParityGame([0, 1, 2], [0, 1, 0], [2, 1, -1], [None, 'a"', None], [(1,), (2,), (0,)])
+        with pytest.raises(ValueError, match="^node 1 has label"):
+            write_pgsolver(game)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_lines_end_in_line_breaks_and_join_to_the_text(self, n):
+        game = gen_table2(n).game
+        lines = list(pgsolver_lines(game))
+        assert len(lines) == game.num_nodes + 1
+        assert all(line.endswith(";\n") and line.count("\n") == 1 for line in lines)
+        assert "".join(lines) == write_pgsolver(game)
 
     def test_awkward_labels_round_trip(self):
         labels = ["", "a;b", "tab\there", "r\r", "\u00e9\u00b2 ,"]

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,35 @@ class TestReduceGame:
         reduced, _ = reduce_game(parse_pgsolver(write_pgsolver(game)))
         digest = hashlib.sha256(write_pgsolver(reduced).encode()).hexdigest()
         assert digest == "7c6c9a6ab630163b6817f18226882b424e3c4e81f0b0155f719536e55b0bbb36"
+
+    def test_a_game_without_nodes_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="^a game without nodes has no sink game$"):
+            reduce_game(ParityGame([], [], [], [], []))
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="before 3.11 a caller holds its call arguments"
+    )
+    def test_the_input_game_is_freed_before_the_sink_game_is_built(self, monkeypatch):
+        # reduce_game keeps copies of the columns only, so a game that the
+        # caller passes without keeping it is gone before the sink game exists
+        class Watched(ParityGame):
+            __slots__ = ("__weakref__",)
+
+        refs = []
+
+        def watched(game: ParityGame) -> Watched:
+            copy = Watched(*game.columns())
+            refs.append(weakref.ref(copy))
+            return copy
+
+        def build(*args, **kwargs):
+            assert refs[0]() is None
+            return ParityGame(*args, **kwargs)
+
+        source = _decorated_game(random.Random(5))
+        monkeypatch.setattr(reduction, "ParityGame", build)
+        reduced, _ = reduce_game(watched(source))
+        assert reduced == reduce_game(source)[0]
 
 
 class TestExtractWinners:

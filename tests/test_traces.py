@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -10,7 +11,10 @@ from conftest import random_admissible_strategy, random_sink_game
 from sinkgames.families import gen_table1
 from sinkgames.rules import switch_all_rule
 from sinkgames.solvers import IterationTrace, SolveResult, run_ssi
+from sinkgames.pgsolver import MAX_DIGITS
 from sinkgames.traces import (
+    TraceFile,
+    TraceHeader,
     build_trace_file,
     certificate_status,
     from_csv,
@@ -159,6 +163,58 @@ def test_malformed_trace_raises_value_error_naming_the_part(ladder_run, reader, 
     text = edit((to_csv if reader is from_csv else to_json)(trace))
     with pytest.raises(ValueError, match=re.escape(message)):
         reader(text)
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    """Python's own int digit limit lifted, as on a Python that has none
+    (before 3.10.7): json.loads then reads a number of any length."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+LONG = 10**MAX_DIGITS  # the least number of more than MAX_DIGITS digits
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda p: p["header"].update(nodes=-1), "header has a negative 'nodes'"),
+        (lambda p: p["header"].update(edges=-1), "header has a negative 'edges'"),
+        (lambda p: p["footer"].update(iterations=-5), "footer has a negative 'iterations'"),
+        (lambda p: p["rows"].__setitem__(0, [1, 7, -2, 3]), "row 1 must be four nonnegative"),
+        (lambda p: p["rows"][-1].__setitem__(0, -1), "row 17 must be four nonnegative numbers"),
+        (lambda p: p["header"].update(nodes=LONG), "header has a 'nodes' of more than 4300 digits"),
+        (lambda p: p["header"].update(seed=-LONG), "header has a 'seed' of more than 4300 digits"),
+        (lambda p: p["footer"].update(iterations=LONG), "'iterations' of more than 4300 digits"),
+        (lambda p: p["rows"][1].__setitem__(3, LONG), "row 2 must be four nonnegative numbers"),
+    ],
+    ids=[
+        "negative-nodes", "negative-edges", "negative-iterations", "negative-row-entry",
+        "negative-last-row-iteration", "long-nodes", "long-seed", "long-iterations",
+        "long-row-entry",
+    ],
+)
+def test_json_refuses_what_the_csv_form_refuses(ladder_run, no_int_digit_limit, change, message):
+    _, _, trace = ladder_run
+    payload = json.loads(to_json(trace))
+    change(payload)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json(json.dumps(payload))
+    # the same trace, built without the JSON reader's checks, has a CSV form
+    # that from_csv refuses
+    head, footer = payload["header"], payload["footer"]
+    keys = ("game", "algorithm", "rule", "seed", "nodes", "edges")
+    unchecked = TraceFile(
+        TraceHeader(*map(head.get, keys)),
+        tuple(map(tuple, payload["rows"])), footer["iterations"], footer["certificate"],
+    )
+    with pytest.raises(ValueError):
+        from_csv(to_csv(unchecked))
 
 
 def test_one_strategy_certificate_is_the_pair_check_with_the_best_response():
