@@ -149,14 +149,12 @@ def _default_strategy(game: ParityGame, player: int) -> Strategy:
     heuristics; admissibility is checked, not assumed."""
     gi = game_index(game)
     dist = _distances_to_sink(gi)
+    ids = gi.ids
 
     def greedy(tie_high: bool) -> Strategy:
-        choice = {}
-        for v in game.nodes_of(player):
-            succs = game.successors(v)
-            key = lambda w: (dist[gi.index[w]], -w if tie_high else w)
-            choice[v] = min(succs, key=key)
-        return Strategy(player, choice)
+        # positions are in id order, so ties break on ids as well
+        key = lambda w: (dist[w], -w if tie_high else w)
+        return Strategy(player, {ids[v]: ids[min(gi.succ[v], key=key)] for v in gi.nodes[player]})
 
     for candidate in (greedy(tie_high=False), greedy(tie_high=True)):
         if is_admissible(game, candidate):

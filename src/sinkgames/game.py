@@ -32,11 +32,12 @@ class Violation:
 class ParityGame:
     """Directed game graph with an owner partition and priority labels.
 
-    Node ids are distinct nonnegative integers (generated games use dense
-    ids 0..n-1; parsed files may have gaps). Adjacency lists preserve
-    declaration order. Construction is permissive about game-theoretic
-    invariants so that :func:`validate_game` can report them. ``_index``
-    caches the derived ``GameIndex``; a race between threads at worst builds it twice.
+    Node ids are distinct nonnegative integers (generated games use dense ids 0..n-1;
+    parsed files may have gaps). Adjacency lists preserve declaration order. Construction
+    is permissive about game-theoretic invariants so that :func:`validate_game` can report
+    them. ``_index`` caches the derived ``GameIndex``; a race between threads at worst
+    builds it twice. The index shares ``_ids``, ``_pos`` and ``_owners`` and reads the
+    other columns in place, so none of them may ever change.
     """
 
     __slots__ = ("_ids", "_pos", "_owners", "_priorities", "_labels", "_rows", "sink", "_index")
@@ -148,21 +149,26 @@ class Strategy:
 
 
 def check_strategy(game: ParityGame, strategy: Strategy) -> None:
-    """Raise ValueError unless the strategy is total on its player's nodes
-    and every choice follows an existing edge."""
-    owned = set(game.nodes_of(strategy.player))
-    covered = set(strategy.choice)
-    if covered != owned:
-        missing = sorted(owned - covered)
-        extra = sorted(covered - owned)
+    """Raise ValueError unless the strategy's player is the int 0 or 1, it is
+    total on that player's nodes and every choice follows an existing edge."""
+    player, choice = strategy.player, strategy.choice
+    if type(player) is not int or player not in (PLAYER0, PLAYER1):
+        raise ValueError(f"strategy has invalid player {player!r}")
+    pos, owners = game._pos, game._owners
+    # the player's nodes the choice covers, counted in one pass: sets only name a fault
+    covered = sum(owners[pos[v]] == player for v in choice if v in pos)
+    if not len(choice) == covered == owners.count(player):
+        owned = set(game.nodes_of(player))
+        missing = sorted(owned - choice.keys())
+        extra = sorted(choice.keys() - owned)
         parts = []
         if missing:
             parts.append(f"missing choices for nodes {missing}")
         if extra:
             parts.append(f"choices for non-owned nodes {extra}")
-        raise ValueError(f"invalid player {strategy.player} strategy: " + "; ".join(parts))
-    for v, w in strategy.choice.items():
-        if w not in game.successors(v):
+        raise ValueError(f"invalid player {player} strategy: " + "; ".join(parts))
+    for v, w in choice.items():
+        if w not in game._rows[pos[v]]:
             raise ValueError(f"strategy uses non-edge ({v}, {w})")
 
 
@@ -174,8 +180,7 @@ def validate_game(game: ParityGame, require_sink: bool = False) -> list[Violatio
     missing sink designation is itself a violation.
     """
     report: list[Violation] = []
-    for v in game.node_ids:
-        succs = game.successors(v)
+    for v, succs in zip(game._ids, game._rows):
         if not succs:
             report.append(Violation("node-successor", f"node {v}", "node without successor"))
         for w in succs:
@@ -189,15 +194,10 @@ def validate_game(game: ParityGame, require_sink: bool = False) -> list[Violatio
             report.append(Violation("sink-missing", "game", "no sink node designated"))
         return report
     p_sink = game.priority(sink)
-    for v in game.node_ids:
-        if v != sink and game.priority(v) <= p_sink:
-            report.append(
-                Violation(
-                    "sink-priority",
-                    f"node {v}",
-                    f"priority {game.priority(v)} does not exceed sink priority {p_sink}",
-                )
-            )
+    for v, q in zip(game._ids, game._priorities):
+        if v != sink and q <= p_sink:
+            message = f"priority {q} does not exceed sink priority {p_sink}"
+            report.append(Violation("sink-priority", f"node {v}", message))
     if game.successors(sink) != (sink,):
         report.append(
             Violation("sink-self-loop", f"node {sink}", "sink self-loop only")
@@ -208,8 +208,7 @@ def validate_game(game: ParityGame, require_sink: bool = False) -> list[Violatio
 def infer_sink(game: ParityGame) -> int | None:
     """The unique strictly-minimal-priority node whose only edge is its
     self-loop, or None if no such node exists."""
-    ids, _, priorities, _, successors = game.columns()
-    return sink_of(ids, priorities, successors)
+    return sink_of(game._ids, game._priorities, game._rows)
 
 
 def sink_of(

@@ -146,10 +146,15 @@ def _run_loop(
     rule: ImprovementRule,
     mode: str,
 ) -> SolveResult:
+    starts = (sigma0, tau0)
+    for p, start in enumerate(starts):
+        if start is not None:
+            check_strategy(game, start)
+            if start.player != p:
+                raise ValueError(f"a player {start.player} strategy was given for player {p}")
     gi = game_index(game)
     ids = gi.ids
     index = gi.index
-    starts = (sigma0, tau0)
     players = tuple(p for p in (PLAYER0, PLAYER1) if starts[p] is not None)
 
     # per-player state, indexed by PLAYER0/PLAYER1; the slots of a player
@@ -239,7 +244,6 @@ def _run_loop(
 def run_si(game: ParityGame, start: Strategy, rule: ImprovementRule) -> SolveResult:
     """Single-player improvement from an admissible start; the final
     strategy has no improving moves."""
-    check_strategy(game, start)
     if start.player == PLAYER0:
         return _run_loop(game, start, None, rule, SI)
     return _run_loop(game, None, start, rule, SI)
@@ -250,8 +254,6 @@ def run_ssi(
 ) -> SolveResult:
     """Symmetric improvement: both players improve simultaneously, each
     restricted to edges of the opponent's optimal counterstrategy."""
-    check_strategy(game, sigma0)
-    check_strategy(game, tau0)
     return _run_loop(game, sigma0, tau0, rule, SSI)
 
 
@@ -260,8 +262,6 @@ def run_gssi(
 ) -> SolveResult:
     """Generalized symmetric improvement: candidate edges must weakly
     improve under the opponent's valuation rather than follow it exactly."""
-    check_strategy(game, sigma0)
-    check_strategy(game, tau0)
     return _run_loop(game, sigma0, tau0, rule, GSSI)
 
 
@@ -273,6 +273,8 @@ def verify_optimal(game: ParityGame, sigma: Strategy, tau: Strategy) -> Optimali
     :func:`_pair_codes`); any other pair is valued from a cold start, player
     0's strategy first, and its violations are read off the two valuations.
     """
+    if (sigma.player, tau.player) != (PLAYER0, PLAYER1):
+        raise ValueError("verify_optimal takes player 0's sigma and player 1's tau")
     check_strategy(game, sigma)
     try:
         check_strategy(game, tau)

@@ -56,7 +56,8 @@ class GameIndex:
     p's strategy subgraph, and ``rest[p]`` holds the other successors. The
     index is a cache derived from an immutable game, which
     :func:`game_index` keeps on the game itself. It holds no reference to
-    its game, so the two are freed together.
+    its game, so the two are freed together. ``ids``, ``index`` and
+    ``owner`` are the game's own id tuple, position dict and owner list: read only.
     """
 
     __slots__ = (
@@ -76,13 +77,12 @@ class GameIndex:
     def __init__(self, game: ParityGame):
         if game.sink is None:
             raise ValueError("game has no designated sink node")
-        ids = game.node_ids
-        _, owners, priorities, _, successors = game.columns()
+        ids, index, owners = game._ids, game._pos, game._owners
+        priorities, successors = game._priorities, game._rows
         if not all(successors):
             v = next(v for v, row in zip(ids, successors) if not row)
             raise ValueError(f"node {v} has no successor")
         n = len(ids)
-        index = {v: i for i, v in enumerate(ids)}
         # A final value is a sum over a simple path, so every count is at
         # most n < base/2 = n + 4: integer order is play-value order, and a
         # cycle's sign is its top priority's. Relaxed nodes start from the

@@ -414,11 +414,14 @@ class TestDefaultStarts:
             else:
                 game = _loose_sink_game(rng)
             for g in (game, _relabelled(game)):
+                columns = g.columns()
                 for p in (0, 1):
                     try:
                         rows.append(sorted(cli._default_strategy(g, p).choice.items()))
                     except cli.InputError as exc:
                         rows.append(str(exc))
+                # the default starts read the game's own lists and change none
+                assert g.columns() == columns
         assert sum(isinstance(row, str) for row in rows) == 36
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "bc2b7c37af17d73678e144819f452c21b7521f87a2bd1baacfac43eab4a54a4f"

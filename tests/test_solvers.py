@@ -8,7 +8,7 @@ import pytest
 from conftest import admissible_pair, random_parity_game, random_sink_game
 from oracle_reference import enumerate_optimal_strategy
 from sinkgames.families import gen_table1, gen_table2, generate, optimal_table1
-from sinkgames.game import ParityGame, Strategy
+from sinkgames.game import ParityGame, Strategy, check_strategy
 from sinkgames.pgsolver import parse_pgsolver
 from sinkgames.reduction import reduce_game, trivial_strategies
 from sinkgames.rules import make_rule, switch_all_rule
@@ -355,6 +355,24 @@ class TestVerifyOptimal:
         assert certificate.ok
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda i: run_gssi(i.game, i.sigma0, i.sigma0, switch_all_rule()), "for player 1$"),
+        (lambda i: run_ssi(i.game, i.tau0, i.sigma0, switch_all_rule()), "for player 0$"),
+        (lambda i: run_gssi(i.game, i.tau0, i.tau0, switch_all_rule()), "for player 0$"),
+        (lambda i: verify_optimal(i.game, i.tau0, i.sigma0), "player 1's tau$"),
+        (lambda i: verify_optimal(i.game, i.sigma0, i.sigma0), "player 1's tau$"),
+    ],
+    ids=["gssi-sigma-twice", "ssi-swapped", "gssi-tau-twice", "verify-swapped", "verify-twice"],
+)
+def test_a_strategy_in_the_other_players_place_is_refused(call, message):
+    # valid strategies of the wrong player, which the runs would otherwise
+    # take: their pair array is the same whichever slot holds them
+    with pytest.raises(ValueError, match=message):
+        call(gen_table1(2))
+
+
 def _certificate_reference(game, sigma, tau):
     """verify_optimal's outcome from two cold valuations: (ok, improving
     sets, mismatched nodes, player 0's codes), or the exception's type and
@@ -417,6 +435,51 @@ def _broken(strategy, game, rng):
     return Strategy(strategy.player, choice)
 
 
+def _multi_broken(strategy, game, rng):
+    """An invalid copy with several faults, listed out of id order: up to
+    two choices dropped, choices added at up to two nodes of the other
+    player, highest id first, and a non-edge at a kept choice."""
+    choice = dict(strategy.choice)
+    for v in rng.sample(sorted(choice), min(2, len(choice))):
+        del choice[v]
+    stray = game.nodes_of(1 - strategy.player)
+    for v in sorted(rng.sample(stray, min(2, len(stray))), reverse=True):
+        choice[v] = game.successors(v)[0]
+    kept = [v for v in choice if v in strategy.choice]
+    if kept:
+        v = rng.choice(kept)
+        others = [w for w in game.node_ids if w not in game.successors(v)]
+        if others:
+            choice[v] = rng.choice(others)
+    return Strategy(strategy.player, choice)
+
+
+def _check_message(game, strategy):
+    try:
+        check_strategy(game, strategy)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _set_based_message(game, strategy):
+    """check_strategy's message by its definition on node sets: a coverage
+    fault, missing nodes before non-owned ones and each list sorted, is
+    named before the first non-edge in choice order."""
+    owned, covered = set(game.nodes_of(strategy.player)), set(strategy.choice)
+    if covered != owned:
+        parts = []
+        if owned - covered:
+            parts.append(f"missing choices for nodes {sorted(owned - covered)}")
+        if covered - owned:
+            parts.append(f"choices for non-owned nodes {sorted(covered - owned)}")
+        return f"invalid player {strategy.player} strategy: " + "; ".join(parts)
+    for v, w in strategy.choice.items():
+        if w not in game.successors(v):
+            return f"strategy uses non-edge ({v}, {w})"
+    return None
+
+
 def _certificate_games():
     """(game, an optimal pair) on seeded reduced games and family games."""
     rng = random.Random(2207)
@@ -441,8 +504,9 @@ class TestPairCertificate:
     valuations give, exceptions included."""
 
     def test_matches_two_cold_valuations_on_every_kind_of_pair(self):
-        rng = random.Random(2208)
+        rng, multi_rng = random.Random(2208), random.Random(2209)
         seen = {"ok": 0, "not ok": 0, "mismatch": 0, "NotAdmissibleError": 0, "ValueError": 0}
+        messages = []
         for game, (sigma, tau) in _certificate_games():
             pairs = [(sigma, tau)]
             for _ in range(3):
@@ -451,9 +515,14 @@ class TestPairCertificate:
                 pairs.append((_random_strategy(game, 0, rng), _random_strategy(game, 1, rng)))
                 pairs.append((_random_strategy(game, 0, rng), tau))
                 pairs.append((sigma, _random_strategy(game, 1, rng)))
-            for broken in (_broken(sigma, game, rng), _broken(tau, game, rng)):
+            multi = [_multi_broken(s, game, multi_rng) for s in (sigma, tau)]
+            for broken in (_broken(sigma, game, rng), _broken(tau, game, rng), *multi):
                 if broken is None:
                     continue
+                message = _check_message(game, broken)
+                if message is not None:
+                    assert message == _set_based_message(game, broken)
+                    messages.append(message)
                 for other in (sigma, tau, _random_strategy(game, 1 - broken.player, rng)):
                     if other.player != broken.player:
                         pair = (broken, other) if broken.player == 0 else (other, broken)
@@ -467,6 +536,11 @@ class TestPairCertificate:
                 else:
                     seen[expected[0].__name__] += 1
         assert min(seen.values()) > 30, seen
+        # the multi-fault copies name both coverage faults, with lists of
+        # several nodes, and a coverage fault hides a non-edge
+        both = [m for m in messages if "missing" in m and "non-owned" in m]
+        assert len(both) > 30 and any(", " in m.split("non-owned")[1] for m in both)
+        assert sum("non-edge" in m for m in messages) > 30
 
     def test_inadmissible_sigma_is_reported_before_an_invalid_tau(self):
         game = ParityGame(

@@ -16,7 +16,7 @@ from sinkgames.cli import _distances_to_sink
 from sinkgames.families import gen_table1, gen_table2
 from sinkgames.game import ParityGame, Strategy
 from sinkgames.playvalues import PlayValue
-from sinkgames.reduction import reduce_game, trivial_strategies
+from sinkgames.reduction import reduce_game, solve_winners, trivial_strategies
 from sinkgames.rules import switch_all_rule
 from sinkgames.solvers import run_gssi, run_si, run_ssi, verify_optimal
 from sinkgames import valuation as valuation_module
@@ -178,6 +178,15 @@ class TestImprovingMoves:
             improving_moves(inst.game, Strategy(0, choice), xi_sigma)
         with pytest.raises(ValueError, match="strategy"):
             j_set(inst.game, Strategy(0, choice), xi_tau)
+
+    @pytest.mark.parametrize("player", [2, -1, True], ids=["two", "negative", "bool"])
+    def test_a_player_other_than_the_int_0_or_1_is_refused(self, player):
+        # 2 and -1 used to pass the check with no choices and fail at the
+        # weight lookup; True owns player 1's nodes and was valued as 1
+        inst = gen_table1(2)
+        choice = inst.tau0.choice if player is True else {}
+        with pytest.raises(ValueError, match=f"^strategy has invalid player {player!r}$"):
+            valuate(inst.game, Strategy(player, choice))
 
     def test_optimal_strategy_has_none(self):
         from sinkgames.families import optimal_table1
@@ -399,6 +408,23 @@ class TestIndexCache:
         assert twin == game and twin is not game
         assert game_index(twin) is not game_index(game)
         assert game_index(twin).ids == game_index(game).ids
+
+    def test_the_index_shares_the_games_lists_and_no_run_changes_them(self):
+        table1, table2 = gen_table1(3), gen_table2(3)
+        game = table1.game
+        gi = game_index(game)
+        assert gi.index is game._pos and gi.owner is game._owners and gi.ids is game.node_ids
+        winners_game = random_parity_game(random.Random(211), 20, 30)
+        rule = switch_all_rule()
+        runs = [
+            (table1.game, lambda: run_ssi(table1.game, table1.sigma0, table1.tau0, rule)),
+            (table2.game, lambda: run_gssi(table2.game, table2.sigma0, table2.tau0, rule)),
+            (winners_game, lambda: solve_winners(winners_game)),
+        ]
+        for game, run in runs:
+            before = game.columns()
+            run()
+            assert game.columns() == before
 
     def test_discarded_games_leave_the_cache(self):
         gc.collect()
