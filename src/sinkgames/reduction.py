@@ -121,6 +121,14 @@ def reduce_game(game: ParityGame) -> tuple[ParityGame, ReductionMap]:
     """
     cols = game.columns()
     del game
+    return _sink_game(cols)
+
+
+def _sink_game(cols: Columns) -> tuple[ParityGame, ReductionMap]:
+    """:func:`reduce_game` of the game whose columns ``cols`` holds; the
+    lists of ``cols`` are rewritten in place. A caller that passes
+    ``game.columns()`` of a game it does not keep frees that game before
+    the reduction starts, on every Python version."""
     originals = len(cols[0])
     if not originals:
         raise ValueError("a game without nodes has no sink game")

@@ -1,14 +1,28 @@
-"""Shared test helpers: random game generators, a strategy subgraph and an
-SCC-based admissibility check that is independent of the valuation engine."""
+"""Shared test helpers: random game generators, a strategy subgraph, an
+SCC-based admissibility check that is independent of the valuation engine,
+and a check that no test leaves the cyclic garbage collector disabled."""
 
 from __future__ import annotations
 
+import gc
 import random
 
 from dataclasses import dataclass
 
+import pytest
+
 from sinkgames.game import PLAYER0, PLAYER1, ParityGame, Strategy, check_strategy
 from sinkgames.reduction import reduce_game
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail the test that leaves the cyclic garbage collector disabled, and
+    enable it again, so that a forgotten restore shows where it happens."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_parity_game, random_sink_game
 from oracle_reference import brute_force_winners
 from sinkgames import cli, families, traces
+from sinkgames import pgsolver as pgsolver_module
+from sinkgames import reduction as reduction_module
 from sinkgames import valuation as valuation_module
 from sinkgames.cli import main
 from sinkgames.families import gen_table1
@@ -24,6 +26,7 @@ from sinkgames.game import ParityGame
 from sinkgames.pgsolver import MAX_DIGITS, parse_pgsolver, write_pgsolver
 from sinkgames.playvalues import ValueCodec
 from sinkgames.reduction import reduce_game, solve_winners
+from sinkgames.solvers import SolverInvariantError
 from sinkgames.traces import from_csv, from_json, parse_strategy_text
 
 
@@ -764,6 +767,101 @@ class TestRepeatedCalls:
         for argv, code in FAILURES.values():
             assert run_cli(capsys, *argv)[0] == code
             assert run_cli(capsys, *SOLVE_LADDER) == expected
+
+
+def _fail(error):
+    def solve_winners(game):
+        raise error
+
+    return solve_winners
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic garbage collector for one command, and the
+    pause is safe because no command makes a reference cycle."""
+
+    # game file, exit code (None when the error escapes), error raised by
+    # solve_winners, and the start of stderr
+    PATHS = {
+        "exit-0": ("ok", 0, None, ""),
+        "input-error": ("missing", 2, None, "error: cannot read"),
+        "parse-error": ("malformed", 2, None, "error: statement is missing its terminating ';'"),
+        "exit-3": ("ok", 3, SolverInvariantError("broken"), "internal error: broken"),
+        "usage-exit": ("ok", 2, None, "usage:"),
+        "escaping-exception": ("ok", None, RuntimeError("boom"), ""),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_state_is_restored(self, tmp_path, capsys, monkeypatch, path, enabled):
+        game, code, error, err_start = self.PATHS[path]
+        (tmp_path / "ok.pg").write_text(write_pgsolver(gen_table1(1).game))
+        (tmp_path / "malformed.pg").write_text("parity 1;\n0 0 0 0\n")
+        if error is not None:
+            monkeypatch.setattr(reduction_module, "solve_winners", _fail(error))
+        argv = ["winners", "--game", str(tmp_path / f"{game}.pg")]
+        if path == "usage-exit":
+            argv.append("--nope")
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if code is None:
+                with pytest.raises(RuntimeError, match="boom"):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert capsys.readouterr().err.startswith(err_start)
+
+    def test_collector_is_off_in_the_handler(self, tmp_path, capsys, monkeypatch):
+        game_file = tmp_path / "g.pg"
+        game_file.write_text(write_pgsolver(gen_table1(1).game))
+        states = []
+
+        def parse(text):
+            states.append(gc.isenabled())
+            return parse_pgsolver(text)
+
+        monkeypatch.setattr(pgsolver_module, "parse_pgsolver", parse)
+        assert gc.isenabled()
+        assert run_cli(capsys, "winners", "--game", str(game_file))[0] == 0
+        assert states == [False]
+        assert gc.isenabled()
+
+    COMMANDS = {
+        "generate-file": "generate table1 --n 3 --out {tmp}/o.pg --sigma0-out {tmp}/s --tau0-out {tmp}/t",
+        "generate-stdout": "generate table2 --n 3",
+        **{
+            f"solve-{algo}-{starts}-{fmt}": f"solve --algo {algo} {flags} --trace {{tmp}}/t.{fmt}"
+            for algo in ("si", "ssi", "gssi")
+            for starts, flags in (
+                ("family", "--family table1 --n 3"),
+                ("default", "--game {game}"),
+            )
+            for fmt in ("csv", "json")
+        },
+        "reduce": "reduce --game {game} --out {tmp}/out.pg",
+        "winners": "winners --game {game} --sigma-out {tmp}/s --tau-out {tmp}/t",
+        "iteration-table": "experiment iteration-table --family table2 --algo gssi --n-max 3",
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_makes_no_reference_cycle(self, tmp_path, capsys, command):
+        # error paths are left out: a traceback may close a cycle, which the
+        # first collection after the command frees
+        game = _ladder_files(tmp_path)["game"]
+        argv = self.COMMANDS[command].format(tmp=tmp_path, game=game).split()
+        cli.build_parser()  # argparse's help formatters make cycles, once
+        gc.disable()
+        try:
+            gc.collect()
+            code = main(argv)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert (code, unreachable) == (0, 0)
 
 
 LADDER = gen_table1(2)

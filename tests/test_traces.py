@@ -102,6 +102,25 @@ class TestTraceFile:
             to_csv(named)
         assert from_json(to_json(named)) == named
 
+    @pytest.mark.parametrize(
+        "game_id, seed, rows",
+        [("table1-n3", None, None), ("a\"b\\\n\u00e9\U0001f600", -5, ()), ("", 0, ((0, 1, 2, 3),))],
+        ids=["ladder", "escapes-no-rows", "one-row"],
+    )
+    def test_json_is_laid_out_as_json_dumps_with_indent_2(self, ladder_run, game_id, seed, rows):
+        _, _, trace = ladder_run
+        header = TraceHeader(game_id, "ssi", "all", seed, 26, 72)
+        trace = TraceFile(header, trace.rows if rows is None else rows, 13, "verified")
+        payload = {
+            "header": {
+                "game": game_id, "algorithm": "ssi", "rule": "all", "seed": seed,
+                "nodes": 26, "edges": 72,
+            },
+            "rows": [list(row) for row in trace.rows],
+            "footer": {"iterations": 13, "certificate": "verified"},
+        }
+        assert to_json(trace) == json.dumps(payload, indent=2) + "\n"
+
     def test_csv_with_crlf_line_ends(self, ladder_run):
         _, _, trace = ladder_run
         assert from_csv(to_csv(trace).replace("\n", "\r\n")) == trace
