@@ -279,9 +279,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     # neither the parsed game nor the reduction map is kept, and the text is
     # written as it is made, so one game at a time is held in full; the
-    # parsed game is freed once its columns are copied (Python 3.10 would
-    # keep an argument of reduce_game alive until the call returns)
-    reduced = reduction._sink_game(_load_game(args.game).columns())[0]
+    # columns go in a list the callee empties, as Python 3.10 would keep an
+    # argument alive until the call returns, and the parsed game is not kept
+    reduced = reduction._sink_game([_load_game(args.game).columns()])[0]
     try:
         lines = pgsolver.pgsolver_lines(reduced)
     except ValueError as exc:
@@ -293,12 +293,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_winners(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
     result = reduction.solve_winners(game)
-    print("W0: " + " ".join(str(v) for v in sorted(result.w0)))
-    print("W1: " + " ".join(str(v) for v in sorted(result.w1)))
-    for v, w in sorted(result.strategy0.items()):
-        print(f"win0 {v} {w}")
-    for v, w in sorted(result.strategy1.items()):
-        print(f"win1 {v} {w}")
+    sys.stdout.writelines([
+        "W0: " + " ".join(map(str, sorted(result.w0))) + "\n",
+        "W1: " + " ".join(map(str, sorted(result.w1))) + "\n",
+        *(f"win0 {v} {w}\n" for v, w in sorted(result.strategy0.items())),
+        *(f"win1 {v} {w}\n" for v, w in sorted(result.strategy1.items())),
+    ])
     if args.sigma_out:
         sigma = Strategy(PLAYER0, result.strategy0)
         _write_text(args.sigma_out, traces.write_strategy_text(sigma))

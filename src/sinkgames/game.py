@@ -36,8 +36,10 @@ class ParityGame:
     parsed files may have gaps). Adjacency lists preserve declaration order. Construction
     is permissive about game-theoretic invariants so that :func:`validate_game` can report
     them. ``_index`` caches the derived ``GameIndex``; a race between threads at worst
-    builds it twice. The index shares ``_ids``, ``_pos`` and ``_owners`` and reads the
-    other columns in place, so none of them may ever change.
+    builds it twice. The index shares ``_ids``, ``_pos`` and ``_owners``, and ``_rows``
+    too when the ids are 0..n-1 and each row lists distinct int node ids; it reads the
+    other columns in place, also when it builds a player's arrays on first use, so none
+    of them may ever change.
     """
 
     __slots__ = ("_ids", "_pos", "_owners", "_priorities", "_labels", "_rows", "sink", "_index")

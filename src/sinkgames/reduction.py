@@ -119,16 +119,17 @@ def reduce_game(game: ParityGame) -> tuple[ParityGame, ReductionMap]:
     so a game that the caller does not keep is freed before the sink game
     is built.
     """
-    cols = game.columns()
+    held = [game.columns()]
     del game
-    return _sink_game(cols)
+    return _sink_game(held)
 
 
-def _sink_game(cols: Columns) -> tuple[ParityGame, ReductionMap]:
-    """:func:`reduce_game` of the game whose columns ``cols`` holds; the
-    lists of ``cols`` are rewritten in place. A caller that passes
-    ``game.columns()`` of a game it does not keep frees that game before
-    the reduction starts, on every Python version."""
+def _sink_game(held: list[Columns]) -> tuple[ParityGame, ReductionMap]:
+    """:func:`reduce_game` of the game whose columns ``held`` alone holds;
+    they are popped and their lists rewritten in place. So a caller that
+    passes ``[game.columns()]`` of a game it does not keep frees the game
+    first and the columns once the sink game is built, on every Python."""
+    cols = held.pop()
     originals = len(cols[0])
     if not originals:
         raise ValueError("a game without nodes has no sink game")
@@ -144,11 +145,16 @@ def _sink_game(cols: Columns) -> tuple[ParityGame, ReductionMap]:
 def trivial_strategies(reduced: ParityGame, rmap: ReductionMap) -> tuple[Strategy, Strategy]:
     """The canonical admissible pair of a reduced game: player 0 exits to
     the sink everywhere, player 1 exits to ``w``."""
-    sigma = {v: rmap.sink for v in reduced.nodes_of(PLAYER0)}
-    sigma[rmap.sink] = rmap.sink
-    tau = {v: rmap.w for v in reduced.nodes_of(PLAYER1)}
-    tau[rmap.w] = rmap.sink
-    return Strategy(PLAYER0, sigma), Strategy(PLAYER1, tau)
+    return _exit_strategy(reduced, rmap, PLAYER0), _exit_strategy(reduced, rmap, PLAYER1)
+
+
+def _exit_strategy(reduced: ParityGame, rmap: ReductionMap, player: int) -> Strategy:
+    """``player``'s strategy of :func:`trivial_strategies`: every node exits
+    to the player's escape, the sink or ``w``, and the escape to the sink."""
+    escape = (rmap.sink, rmap.w)[player]
+    choice = dict.fromkeys(reduced.nodes_of(player), escape)
+    choice[escape] = rmap.sink
+    return Strategy(player, choice)
 
 
 def extract_winners(
@@ -193,7 +199,7 @@ def extract_winners(
 def _optimal_pair(reduced: ParityGame, rmap: ReductionMap) -> tuple[Strategy, Strategy]:
     # only the two strategies outlive this call: the run's result holds code
     # arrays that grow with the game and its priority count
-    sigma0, _ = trivial_strategies(reduced, rmap)
+    sigma0 = _exit_strategy(reduced, rmap, PLAYER0)
     result = run_si(reduced, sigma0, switch_all_rule())
     return result.sigma, result.xi_sigma.counter
 

@@ -318,7 +318,7 @@ def _pair_codes(gi: GameIndex, pair: list[int]) -> list[int] | None:
     the source's weight, which close no cycle, as its weight would be 0;
     so every pair the two valuations accept is accepted here.
     """
-    weight = gi.weight[PLAYER0]
+    weight = gi.player_arrays(PLAYER0)[0]
     codes: list = [None] * len(pair)
     codes[gi.sink] = 0
     for start in range(len(pair)):

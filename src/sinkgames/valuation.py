@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .game import PLAYER0, PLAYER1, ParityGame, Strategy, check_strategy
 from .playvalues import PlayValue, ValueCodec
@@ -53,11 +54,13 @@ class GameIndex:
     Indexes are positions in the ascending node-id order, so index order and
     id order agree for tie-breaking purposes. A strategy of player p is held
     as the array of :meth:`strategy_array`, each node's first successor in
-    p's strategy subgraph, and ``rest[p]`` holds the other successors. The
-    index is a cache derived from an immutable game, which
-    :func:`game_index` keeps on the game itself. It holds no reference to
-    its game, so the two are freed together. ``ids``, ``index`` and
-    ``owner`` are the game's own id tuple, position dict and owner list: read only.
+    p's strategy subgraph, and :meth:`player_arrays` holds the others, built
+    when p is first valued or read. The index is a cache derived from an
+    immutable game, which :func:`game_index` keeps on the game itself. It
+    holds no reference to its game, so the two are freed together. ``ids``,
+    ``index`` and ``owner`` are the game's own id tuple, position dict and
+    owner list, and so is ``succ`` when the ids are 0..n-1 and each row
+    lists distinct int node ids: read only.
     """
 
     __slots__ = (
@@ -65,9 +68,9 @@ class GameIndex:
         "index",
         "owner",
         "succ",
-        "rest",
         "pred",
-        "weight",
+        "priority",
+        "_arrays",
         "codec",
         "sink",
         "nodes",
@@ -94,14 +97,23 @@ class GameIndex:
         self.codec = codec = ValueCodec(priorities, max_count=n + 2)
         # pred[p][w]: the nodes of player p with an edge to w
         pred = ([[] for _ in range(n)], [[] for _ in range(n)])
-        to_index = index.__getitem__
         # duplicate edges change no minimum, so each successor is kept
-        # once, in declaration order
-        try:
-            succ = [tuple(dict.fromkeys(map(to_index, row))) for row in successors]
-        except KeyError:
-            v, w = next((v, w) for v, row in zip(ids, successors) for w in row if w not in index)
-            raise ValueError(f"node {v} lists successor {w} which is not a node") from None
+        # once, in declaration order; the game's rows are that already when
+        # the ids are 0..n-1 and each row lists distinct int node ids
+        flat = list(chain.from_iterable(successors))
+        if (
+            ids[-1] == n - 1
+            and set(map(type, flat)) == {int}
+            and index.keys() >= set(flat)
+            and len(flat) == sum(map(len, map(set, successors)))
+        ):
+            succ = successors
+        else:
+            try:
+                succ = [tuple(dict.fromkeys(map(index.__getitem__, row))) for row in successors]
+            except KeyError:
+                v, w = next((v, w) for v, row in zip(ids, successors) for w in row if w not in index)
+                raise ValueError(f"node {v} lists successor {w} which is not a node") from None
         for v, (who, row) in enumerate(zip(owners, succ)):
             into = pred[who]
             for w in row:
@@ -110,26 +122,28 @@ class GameIndex:
         self.index = index
         self.owner = owners
         self.succ = succ
-        # rest[p]: each node's successors in p's subgraph after the first
-        self.rest = tuple(
-            [() if who == p else row[1:] for who, row in zip(owners, succ)]
-            for p in (PLAYER0, PLAYER1)
-        )
         self.pred = pred
-        # weight[p]: each node's weight in player p's codes, the gain of p;
-        # nodes of one priority share one int in both arrays
-        own = {q: codec.weight(q) for q in codec.priorities}
-        negated = {q: -w for q, w in own.items()}
-        self.weight = (
-            list(map(own.__getitem__, priorities)),
-            list(map(negated.__getitem__, priorities)),
-        )
+        self.priority = priorities
+        self._arrays = [None, None]
         self.sink = index[game.sink]
         # nodes[p]: the nodes of player p
         self.nodes = tuple(
             tuple([v for v, who in enumerate(owners) if who == p]) for p in (PLAYER0, PLAYER1)
         )
         self.finite_bound = 2 * codec.base ** len(codec.priorities)
+
+    def player_arrays(self, p: int) -> tuple[list[int], list[tuple[int, ...]]]:
+        """Player p's ``weight`` and ``rest``, built on first use (two threads
+        may each build equal ones): ``weight[v]`` is v's weight in p's codes,
+        the gain of p, one int per priority, and ``rest[v]`` v's successors
+        in p's subgraph after the first, none at p's own nodes."""
+        arrays = self._arrays[p]
+        if arrays is None:
+            sign = 1 if p == PLAYER0 else -1
+            weights = {q: sign * self.codec.weight(q) for q in self.codec.priorities}
+            rest = [() if who == p else row[1:] for who, row in zip(self.owner, self.succ)]
+            arrays = self._arrays[p] = (list(map(weights.__getitem__, self.priority)), rest)
+        return arrays
 
     def strategy_array(self, *strategies: Strategy) -> list[int]:
         """Each node's first successor in the strategies' subgraph: the
@@ -322,7 +336,7 @@ def solve_values(
 
     ``succ_first`` is the array of :meth:`GameIndex.strategy_array` for a
     strategy of ``player``, whose subgraph's other edges are
-    ``gi.rest[player]``. The codes are that player's gain, player 1's
+    ``gi.player_arrays(player)[1]``. The codes are that player's gain, player 1's
     negated, so the opponent takes the least successor code at its nodes
     whichever player is valued. Without ``prev`` every node but the sink is
     relaxed (a cold start). ``prev`` resumes from the fixpoint of the same
@@ -357,7 +371,8 @@ def solve_values(
     old codes: from there values can creep around a cycle one lap per
     sweep, and the budget would no longer decide it.
     """
-    weight, succ_rest = gi.weight[player], gi.rest[player]
+    # one check per call: the slot is None until the player is first read
+    weight, succ_rest = gi._arrays[player] or gi.player_arrays(player)
     pred = gi.pred[player], gi.pred[1 - player]
     if prev is None:
         sink = gi.sink
@@ -399,7 +414,7 @@ def counter_choices(
     least successor code is taken directly. So only an edge that attains
     it needs a scan of its source's successors for a smaller id.
     """
-    weight, succ, sink = gi.weight[player], gi.succ, gi.sink
+    weight, succ, sink = (gi._arrays[player] or gi.player_arrays(player))[0], gi.succ, gi.sink
     out = []
     for v, w in edges:
         x = codes[w]

@@ -397,7 +397,7 @@ def _relabelled(game):
     ids, owners, priorities, labels, successors = game.columns()
     return ParityGame(
         [relabel[v] for v in ids], owners, priorities, labels,
-        [[relabel[w] for w in succs] for succs in successors], relabel[game.sink],
+        [[relabel[w] for w in succs] for succs in successors], relabel.get(game.sink),
     )
 
 
@@ -657,6 +657,35 @@ class TestWinners:
             w0 = frozenset(int(x) for x in lines[0].split(":")[1].split())
             w1 = frozenset(int(x) for x in lines[1].split(":")[1].split())
             assert (w0, w1) == brute_force_winners(game)
+
+    def test_output_matches_recorded_digest(self, tmp_path, capsys):
+        # stdout and both strategy files, on games whose index borrows the
+        # game's successor rows (dense ids, distinct int successors) and on
+        # games it maps: gapped ids and a repeated edge; and on rows listed
+        # out of id order. The digest was recorded before the index borrowed
+        # any rows and before the report was written in one call
+        rng = random.Random(233)
+        games = [random_parity_game(rng, 100, 100) for _ in range(8)]
+        games += [_relabelled(game) for game in games]
+        ids, owners, priorities, labels, rows = random_parity_game(rng, 30, 30).columns()
+        games.append(ParityGame(ids, owners, priorities, labels, [row + row[:1] for row in rows]))
+        ids, owners, priorities, labels, rows = random_parity_game(rng, 30, 30).columns()
+        rows = [sorted(row, reverse=True) for row in rows]
+        assert any(len(row) > 1 for row in rows)
+        games.append(ParityGame(ids, owners, priorities, labels, rows))
+        digest = hashlib.sha256()
+        for i, game in enumerate(games):
+            files = [tmp_path / f"g{i}.pg", tmp_path / f"s{i}", tmp_path / f"t{i}"]
+            files[0].write_text(write_pgsolver(game))
+            code, out, err = run_cli(
+                capsys, "winners", "--game", str(files[0]),
+                "--sigma-out", str(files[1]), "--tau-out", str(files[2]),
+            )
+            assert (code, err) == (0, "")
+            digest.update(out.encode())
+            for path in files[1:]:
+                digest.update(path.read_bytes())
+        assert digest.hexdigest() == "a52d285fd8ff1021b1fe980106709faed69be6dcd7c4d49bbfdfabdbb4aa1a0d"
 
     def test_strategy_files_written(self, tmp_path, capsys):
         game_file = tmp_path / "w.pg"

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 
 import pytest
 
@@ -415,16 +416,90 @@ class TestIndexCache:
         gi = game_index(game)
         assert gi.index is game._pos and gi.owner is game._owners and gi.ids is game.node_ids
         winners_game = random_parity_game(random.Random(211), 20, 30)
+        reduced, rmap = reduce_game(winners_game)
+        sigma0, tau0 = trivial_strategies(reduced, rmap)
         rule = switch_all_rule()
         runs = [
             (table1.game, lambda: run_ssi(table1.game, table1.sigma0, table1.tau0, rule)),
             (table2.game, lambda: run_gssi(table2.game, table2.sigma0, table2.tau0, rule)),
             (winners_game, lambda: solve_winners(winners_game)),
+            (reduced, lambda: run_ssi(reduced, sigma0, tau0, rule)),
         ]
         for game, run in runs:
             before = game.columns()
             run()
             assert game.columns() == before
+        # ids 0..n-1 and distinct int successors: the rows are shared too
+        for game in (table1.game, table2.game, reduced):
+            assert game_index(game).succ is game._rows
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "gapped"])
+    def test_rows_are_shared_exactly_when_each_is_its_own_index_row(self, dense):
+        # each variant breaks one condition, or none: a repeated successor,
+        # a successor that equals a node id but is not an int, and
+        # successors outside the ids
+        base = random_parity_game(random.Random(239), 30, 30)
+        ids, owners, priorities, labels, rows = base.columns()
+        if not dense:
+            ids = [3 * v + 5 for v in ids]
+            rows = [tuple(3 * w + 5 for w in row) for row in rows]
+        variants = {
+            "as drawn": rows,
+            "repeat": [row + row[-1:] for row in rows],
+            "True": [row + (True,) for row in rows],
+            "1.0": [row + (1.0,) for row in rows],
+            "-1": [row[:1] + (-1,) for row in rows],
+            "n": [row + (30,) for row in rows],
+        }
+        raised = []
+        for name, variant in variants.items():
+            game = ParityGame(ids, owners, priorities, labels, variant, sink=ids[0])
+            index = game._pos
+            # the rows and the error of the index that never shared them
+            try:
+                expected = [tuple(dict.fromkeys(map(index.__getitem__, row))) for row in variant]
+            except KeyError:
+                v, w = next((v, w) for v, row in zip(ids, variant) for w in row if w not in index)
+                message = f"node {v} lists successor {w} which is not a node"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    GameIndex(game)
+                raised.append(name)
+                continue
+            gi = GameIndex(game)
+            assert gi.succ == expected, name
+            assert (gi.succ is game._rows) == (dense and name == "as drawn"), name
+        # the gapped ids have no node 1 or 30, the dense ones no node -1 or 30
+        assert raised == (["-1", "n"] if dense else ["True", "1.0", "-1", "n"])
+
+    def test_a_winners_run_builds_no_player_1_arrays(self, monkeypatch):
+        indexes = []
+        build = GameIndex.player_arrays
+
+        def recorded(self, p):
+            indexes.append(self)
+            return build(self, p)
+
+        monkeypatch.setattr(GameIndex, "player_arrays", recorded)
+        rng = random.Random(241)
+        for _ in range(8):
+            solve_winners(random_parity_game(rng, 30, 100))
+        assert indexes
+        assert all(gi._arrays[1] is None and gi._arrays[0] is not None for gi in indexes)
+
+    def test_an_ssi_run_builds_both_players_arrays_as_the_eager_index_did(self):
+        table1 = gen_table1(4)
+        game = table1.game
+        run_ssi(game, table1.sigma0, table1.tau0, switch_all_rule())
+        gi = game_index(game)
+        codec = gi.codec
+        own = {q: codec.weight(q) for q in codec.priorities}
+        negated = {q: -w for q, w in own.items()}
+        _, owners, priorities, _, rows = game.columns()
+        for p, weights in enumerate((own, negated)):
+            assert gi._arrays[p] == (
+                [weights[q] for q in priorities],
+                [() if who == p else row[1:] for who, row in zip(owners, rows)],
+            )
 
     def test_discarded_games_leave_the_cache(self):
         gc.collect()
@@ -666,7 +741,7 @@ class TestReferenceEngine:
             for strategy in pair:
                 first = gi.strategy_array(strategy)
                 rows = [tuple(dict.fromkeys(row)) for row in ref.subgraph(strategy.player, first)]
-                assert [(w, *rest) for w, rest in zip(first, gi.rest[strategy.player])] == rows
+                assert [(w, *rest) for w, rest in zip(first, gi.player_arrays(strategy.player)[1])] == rows
 
     def test_bad_cycle_in_a_later_scc(self):
         # switching 1 to 2 and 3 to 4 leaves the cone {1} <- {3, 4}: the
@@ -947,8 +1022,8 @@ class TestGameIndexBuild:
         priorities = game.columns()[2]
         shared = {}
         for v, q in enumerate(priorities):
-            assert gi.weight[1][v] == -gi.weight[0][v]
-            assert gi.weight[1][v] is shared.setdefault(q, gi.weight[1][v])
+            assert gi.player_arrays(1)[0][v] == -gi.player_arrays(0)[0][v]
+            assert gi.player_arrays(1)[0][v] is shared.setdefault(q, gi.player_arrays(1)[0][v])
         # outside -5..256 each negation makes a new int object, and many
         # nodes share such a weight
         big = [q for q in priorities if not -5 <= shared[q] <= 256]
