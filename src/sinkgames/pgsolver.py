@@ -226,12 +226,17 @@ def pgsolver_lines(game: ParityGame) -> Iterator[str]:
     if max(ids) >= NUMBER_END or max(priorities) >= NUMBER_END:
         raise ValueError(f"a node id or priority has more than {MAX_DIGITS} digits")
     # whole-column checks first; a failed one rescans to name the first node
-    label_text = "".join(filter(None, labels))
-    if min(priorities) < 0 or '"' in label_text or "\n" in label_text:
+    try:
+        label_text = "".join(filter(None, labels))
+    except TypeError:  # a label that is not a string
+        label_text = None
+    if min(priorities) < 0 or label_text is None or '"' in label_text or "\n" in label_text:
         for v, priority, label in zip(ids, priorities, labels):
             if priority < 0:
                 message = f"node {v} has negative priority {priority}; shift priorities first"
-            elif label is not None and ('"' in label or "\n" in label):
+            elif label and not isinstance(label, str):
+                message = f"node {v} has label {label!r}; labels must be strings"
+            elif label and ('"' in label or "\n" in label):
                 message = f"node {v} has label {label!r}; labels cannot hold '\"' or a line break"
             else:
                 continue
@@ -249,7 +254,7 @@ def pgsolver_lines(game: ParityGame) -> Iterator[str]:
 def write_pgsolver(game: ParityGame) -> str:
     """Canonical text form: ascending node ids, adjacency order preserved,
     labels quoted. Priorities must be nonnegative, ids and priorities must
-    have at most MAX_DIGITS digits, labels must hold neither ``"`` nor a
-    line break, and the game must have a node, or the text would not parse
-    back."""
+    have at most MAX_DIGITS digits, labels must be strings that hold
+    neither ``"`` nor a line break, and the game must have a node, or the
+    text would not parse back."""
     return "".join(pgsolver_lines(game))

@@ -12,7 +12,7 @@ them to ``PlayValue`` at the API edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,19 +76,26 @@ POS_INF = PlayValue(1)
 
 
 class ValueCodec:
-    """Order-preserving integer encoding of play values over a fixed priority set.
+    """Order-preserving integer encoding of one game's play values, sized by
+    its priority column, one entry per node.
 
-    Each priority gets a signed weight +/-(base ** rank) by ascending priority
-    rank (even positive, odd negative). With every count below base // 2 the
-    integer order coincides with the play-value order, so the fixpoint engine
-    can relax plain integers. ``pos_code``/``neg_code`` encode the sentinels.
+    Priority q of rank r (ascending) weighs +/-base ** r, positive for even
+    q, with base = 2n + 8 for n nodes; ``pos_code``/``neg_code`` =
+    +/-base ** (P + 1), P priorities, encode the sentinels. A sum over a
+    simple path or cycle counts each priority at most n < base/2 times, so on
+    such values integer order is play-value order, the digits below a rank
+    weigh less than half of its weight, a simple cycle's weight is nonzero
+    with its top priority's sign, and codes lie within ``finite_bound`` =
+    2 * base ** P. The sentinel plus at most n * max(n, 2) weights of at most
+    base ** (P - 1) each stays beyond that bound, as base^2 - n * max(n, 2)
+    > 2 * base.
     """
 
-    __slots__ = ("priorities", "base", "_weights", "pos_code", "neg_code")
+    __slots__ = ("priorities", "base", "_weights", "pos_code", "neg_code", "finite_bound")
 
-    def __init__(self, priorities: Iterable[int], max_count: int):
+    def __init__(self, priorities: Sequence[int]):
         self.priorities = tuple(sorted(set(priorities)))
-        self.base = 2 * max_count + 4
+        self.base = 2 * len(priorities) + 8
         self._weights = {}
         # each power from the one below it: base ** r afresh for every rank
         # is quadratic big-integer work in the priority count
@@ -96,6 +103,7 @@ class ValueCodec:
         for q in self.priorities:
             self._weights[q] = w if q % 2 == 0 else -w
             w *= self.base
+        self.finite_bound = 2 * w
         self.pos_code = w * self.base
         self.neg_code = -self.pos_code
 

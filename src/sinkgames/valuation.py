@@ -74,7 +74,6 @@ class GameIndex:
         "codec",
         "sink",
         "nodes",
-        "finite_bound",
     )
 
     def __init__(self, game: ParityGame):
@@ -86,15 +85,7 @@ class GameIndex:
             v = next(v for v, row in zip(ids, successors) if not row)
             raise ValueError(f"node {v} has no successor")
         n = len(ids)
-        # A final value is a sum over a simple path, so every count is at
-        # most n < base/2 = n + 4: integer order is play-value order, and a
-        # cycle's sign is its top priority's. Relaxed nodes start from the
-        # sentinel code base^(P+1) (P priorities), the valued player's best
-        # value in that player's codes. A value on the sentinel side has
-        # taken at most n * max(n, 2) weights of at most base^(P-1) each,
-        # and base = 2n + 8 gives base^2 - n * max(n, 2) > 2 * base, which
-        # keeps it beyond finite_bound.
-        self.codec = codec = ValueCodec(priorities, max_count=n + 2)
+        self.codec = ValueCodec(priorities)
         # pred[p][w]: the nodes of player p with an edge to w
         pred = ([[] for _ in range(n)], [[] for _ in range(n)])
         # duplicate edges change no minimum, so each successor is kept
@@ -130,7 +121,6 @@ class GameIndex:
         self.nodes = tuple(
             tuple([v for v, who in enumerate(owners) if who == p]) for p in (PLAYER0, PLAYER1)
         )
-        self.finite_bound = 2 * codec.base ** len(codec.priorities)
 
     def player_arrays(self, p: int) -> tuple[list[int], list[tuple[int, ...]]]:
         """Player p's ``weight`` and ``rest``, built on first use (two threads
@@ -361,15 +351,17 @@ def solve_values(
     sweep ``len(back) + 1`` and by sweep |V| - 1, and the next sweep
     confirms it; without a back edge the first sweep is the exact fixpoint
     and the second relaxes nothing. With such a cycle, a settled sweep
-    would be a fixpoint along it, which its nonzero weight rules out: a
-    cycle's weight is a sum of signed powers of the codec base with fewer
-    than base/2 of each. So the budget decides admissibility whatever the
-    order. The same holds for nodes without a path to the sink, which lead
-    to a cycle without one: a cold start that misses such a node fails at
-    once, as the sweeps would. Settled values are checked to be in range,
-    as a guard of the encoding. The cone is never warm-started from its
-    old codes: from there values can creep around a cycle one lap per
-    sweep, and the budget would no longer decide it.
+    would be a fixpoint along it, which its nonzero weight rules out
+    (:class:`~sinkgames.playvalues.ValueCodec` gives no simple cycle weight
+    0). So the budget decides admissibility whatever the order. The same
+    holds for nodes without a path to the sink, which lead to a cycle
+    without one: a cold start that misses such a node fails at once, as the
+    sweeps would. Settled values are checked to lie within the codec's
+    ``finite_bound``, which holds every simple-path value and no value the
+    budget leaves on the sentinel side, as a guard of the encoding. The
+    cone is never warm-started from its old codes: from there values can
+    creep around a cycle one lap per sweep, and the budget would no longer
+    decide it.
     """
     # one check per call: the slot is None until the player is first read
     weight, succ_rest = gi._arrays[player] or gi.player_arrays(player)
@@ -392,7 +384,7 @@ def solve_values(
     # made on every call, only guards the encoding: no input is known to
     # reach the raise. Only the swept nodes can be out of range, and the
     # smallest index is the one an ascending scan of every node would name.
-    bound = gi.finite_bound
+    bound = gi.codec.finite_bound
     out = [v for v in order if not -bound < values[v] < bound]
     if out:
         raise NotAdmissibleError(

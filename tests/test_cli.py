@@ -379,6 +379,37 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", *(f.format(**files) for f in flags))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_game_file_that_is_not_a_sink_game_is_refused(self, tmp_path, capsys):
+        # node 0 has priority 0 but leaves itself, so no node is the sink
+        game_file = tmp_path / "g.pg"
+        game_file.write_text("0 0 0 0,1;\n1 3 0 0;\n")
+        code, out, err = run_cli(capsys, "solve", "--algo", "si", "--game", str(game_file))
+        assert (code, out, err) == (2, "", "error: [sink-missing] game: no sink node designated\n")
+
+    def test_family_without_n_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--algo", "ssi", "--family", "table1")
+        assert (code, out, err) == (2, "", "error: --family needs --n\n")
+
+    def test_sigma0_file_of_player_1_nodes_is_refused(self, tmp_path, capsys):
+        files = _ladder_files(tmp_path)
+        code, out, err = run_cli(
+            capsys, "solve", "--algo", "si", "--game", str(files["game"]),
+            "--sigma0", str(files["tau0"]),
+        )
+        assert (code, out, err) == (2, "", "error: --sigma0 file describes a player 1 strategy\n")
+
+    @pytest.mark.parametrize("flag", ["--sigma-out", "--tau-out", "--trace"])
+    def test_output_path_that_cannot_be_opened_is_an_input_error(self, tmp_path, capsys, flag):
+        files = _ladder_files(tmp_path)
+        target = tmp_path / "no-such-dir" / "out.csv"
+        code, out, err = run_cli(
+            capsys, "solve", "--algo", "ssi", "--game", str(files["game"]), flag, str(target)
+        )
+        assert code == 2
+        assert "certificate: verified" in out
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
 
 def _loose_sink_game(rng):
     """A sink game whose nodes need not reach the sink, so that a default

@@ -294,6 +294,20 @@ class TestWrite:
         with pytest.raises(ValueError, match=message):
             write_pgsolver(game)
 
+    @pytest.mark.parametrize(
+        "other, message",
+        [(label, "^node 1 has label 7; labels must be strings$") for label in (None, "a", "", 0)]
+        + [('q"', "^node 0 has label 'q\"'; labels cannot hold")],
+    )
+    def test_a_label_that_is_not_a_string_is_refused_before_the_first_line(self, other, message):
+        # node 1's label makes the column's join raise TypeError, and the
+        # rescan names the first node at fault
+        game = ParityGame([0, 1, 2], [0, 1, 0], [2, 1, 3], [other, 7, "b"], [(1,), (2,), (0,)])
+        with pytest.raises(ValueError, match=message):
+            pgsolver_lines(game)
+        with pytest.raises(ValueError, match=message):
+            write_pgsolver(game)
+
     def test_first_offending_node_is_named_whatever_its_fault(self):
         game = ParityGame([0, 1, 2], [0, 1, 0], [2, 1, -1], [None, 'a"', None], [(1,), (2,), (0,)])
         with pytest.raises(ValueError, match="^node 1 has label"):

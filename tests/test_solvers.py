@@ -11,10 +11,11 @@ from sinkgames.families import gen_table1, gen_table2, generate, optimal_table1
 from sinkgames.game import ParityGame, Strategy, check_strategy
 from sinkgames.pgsolver import parse_pgsolver
 from sinkgames.reduction import reduce_game, trivial_strategies
-from sinkgames.rules import make_rule, switch_all_rule
+from sinkgames.rules import ImprovementRule, make_rule, switch_all_rule
 from sinkgames.solvers import (
     IterationTrace,
     NotSinkGameError,
+    SolverInvariantError,
     replay_trace,
     run_gssi,
     run_si,
@@ -353,6 +354,49 @@ class TestVerifyOptimal:
         game = ParityGame([0], [0], [0], [None], [(0,)], sink=0)
         certificate = verify_optimal(game, Strategy(0, {0: 0}), Strategy(1, {}))
         assert certificate.ok
+
+    def test_describe_lists_each_violation_of_a_refused_pair(self):
+        inst = gen_table1(1)
+        certificate = verify_optimal(inst.game, inst.sigma0, inst.tau0)
+        assert certificate.describe() == (
+            "player 0 improving moves [(0, 3)]; player 1 improving moves [(2, 1)]; "
+            "valuation mismatch at nodes [0, 2]"
+        )
+
+    def test_describe_an_accepted_pair(self):
+        inst = gen_table1(2)
+        result = run_ssi(inst.game, inst.sigma0, inst.tau0, switch_all_rule())
+        assert verify_optimal(inst.game, result.sigma, result.tau).describe() == "optimal pair"
+
+
+class TestRuleChoiceGuards:
+    """The loop refuses a rule's choice that is not a switch it may make."""
+
+    # node 1 starts at the sink, and both its other edges improve on that
+    GAME = ParityGame(
+        range(4), [0] * 4, [0, 1, 4, 6], [None] * 4, [(0,), (0, 2, 3), (0,), (0,)], sink=0
+    )
+    START = Strategy(0, {0: 0, 1: 0, 2: 0, 3: 0})
+
+    @pytest.mark.parametrize(
+        "select, message",
+        [
+            (lambda candidates, ctx: [], "^rule 'r' returned no edge for a nonempty candidate set$"),
+            (lambda candidates, ctx: [(1, 0)], r"^rule chose non-candidate edge \(1, 0\)$"),
+            (lambda candidates, ctx: list(candidates), "^rule chose two edges out of node 1$"),
+        ],
+        ids=["empty", "non-candidate", "two-out-of-one-node"],
+    )
+    def test_a_bad_choice_is_an_invariant_error(self, select, message):
+        offered = []
+
+        def record(candidates, ctx):
+            offered.append(candidates)
+            return select(candidates, ctx)
+
+        with pytest.raises(SolverInvariantError, match=message):
+            run_si(self.GAME, self.START, ImprovementRule("r", record))
+        assert offered == [[(1, 2), (1, 3)]]
 
 
 @pytest.mark.parametrize(

@@ -1008,6 +1008,12 @@ class TestGameIndexBuild:
         with pytest.raises(ValueError, match="^node 2 has no successor$"):
             game_index(game)
 
+    def test_game_without_a_sink_is_refused(self):
+        game = ParityGame([0, 1], [0, 1], [0, 3], [None] * 2, [(0,), (0, 1)])
+        assert game.sink is None
+        with pytest.raises(ValueError, match="^game has no designated sink node$"):
+            game_index(game)
+
     def test_successor_that_is_not_a_node_is_named(self):
         game = ParityGame([0, 1], [0, 1], [0, 3], [None] * 2, [(0,), (0, 5)], sink=0)
         message = "^node 1 lists successor 5 which is not a node$"
