@@ -278,10 +278,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     # neither the parsed game nor the reduction map is kept, and the text is
-    # written as it is made, so one game at a time is held in full; the
-    # columns go in a list the callee empties, as Python 3.10 would keep an
-    # argument alive until the call returns, and the parsed game is not kept
-    reduced = reduction._sink_game([_load_game(args.game).columns()])[0]
+    # written as it is made, so one game at a time is held in full
+    reduced = reduction.reduce_game(_load_game(args.game))[0]
     try:
         lines = pgsolver.pgsolver_lines(reduced)
     except ValueError as exc:

@@ -82,7 +82,7 @@ def int_reader() -> Callable[[str], int]:
     """The conversion of a run of ASCII digits: ``int`` where the current
     digit limit admits MAX_DIGITS digits, else one that reads the run 640
     digits at a time, so that every number the format allows converts."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()
     return int if limit == 0 or limit >= MAX_DIGITS else _int_in_runs
 
 
@@ -226,15 +226,16 @@ def pgsolver_lines(game: ParityGame) -> Iterator[str]:
     if max(ids) >= NUMBER_END or max(priorities) >= NUMBER_END:
         raise ValueError(f"a node id or priority has more than {MAX_DIGITS} digits")
     # whole-column checks first; a failed one rescans to name the first node
-    try:
-        label_text = "".join(filter(None, labels))
+    truthy = list(filter(None, labels))
+    try:  # a falsy label other than None, such as "" or 0, is rescanned too
+        label_text = "".join(truthy) if len(truthy) + labels.count(None) == len(labels) else None
     except TypeError:  # a label that is not a string
         label_text = None
     if min(priorities) < 0 or label_text is None or '"' in label_text or "\n" in label_text:
         for v, priority, label in zip(ids, priorities, labels):
             if priority < 0:
                 message = f"node {v} has negative priority {priority}; shift priorities first"
-            elif label and not isinstance(label, str):
+            elif label is not None and not isinstance(label, str):
                 message = f"node {v} has label {label!r}; labels must be strings"
             elif label and ('"' in label or "\n" in label):
                 message = f"node {v} has label {label!r}; labels cannot hold '\"' or a line break"

@@ -119,17 +119,8 @@ def reduce_game(game: ParityGame) -> tuple[ParityGame, ReductionMap]:
     so a game that the caller does not keep is freed before the sink game
     is built.
     """
-    held = [game.columns()]
+    cols = game.columns()
     del game
-    return _sink_game(held)
-
-
-def _sink_game(held: list[Columns]) -> tuple[ParityGame, ReductionMap]:
-    """:func:`reduce_game` of the game whose columns ``held`` alone holds;
-    they are popped and their lists rewritten in place. So a caller that
-    passes ``[game.columns()]`` of a game it does not keep frees the game
-    first and the columns once the sink game is built, on every Python."""
-    cols = held.pop()
     originals = len(cols[0])
     if not originals:
         raise ValueError("a game without nodes has no sink game")

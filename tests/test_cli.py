@@ -520,6 +520,23 @@ class TestReduce:
         assert code == 0
         assert "certificate: verified" in out
 
+    def test_the_command_reduces_through_reduce_game_once(self, tmp_path, capsys, monkeypatch):
+        # the one route from a parity game to a sink game, which the bench
+        # tracer times as reduction.reduce_game
+        calls = []
+        reduce = reduction_module.reduce_game
+
+        def counted(game):
+            calls.append(game.num_nodes)
+            return reduce(game)
+
+        monkeypatch.setattr(reduction_module, "reduce_game", counted)
+        game_file, out_file = tmp_path / "in.pg", tmp_path / "out.pg"
+        game_file.write_text(write_pgsolver(random_parity_game(random.Random(131), 40, 40)))
+        code, _, _ = run_cli(capsys, "reduce", "--game", str(game_file), "--out", str(out_file))
+        assert code == 0
+        assert calls == [40]
+
 
 @pytest.mark.parametrize("command", ["reduce", "winners"])
 @pytest.mark.parametrize("text", ["0 \u00b2 0 0;", "\u0663 2 0 0;"])

@@ -138,17 +138,14 @@ class TestDigitCap:
         assert _outcome(reference.parse_pgsolver, text) == _outcome(parse_pgsolver, text)
 
     def test_the_cap_holds_whatever_the_interpreter_limit(self):
-        # with Python's own limit off (or absent, before 3.10.7), the parser
-        # still refuses
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        if limit is not None:
-            sys.set_int_max_str_digits(0)
+        # with Python's own limit off, the parser still refuses
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
         try:
             with pytest.raises(ParseError, match="number has more than 4300 digits"):
                 parse_pgsolver(f"0 {LONG} 0 0;")
         finally:
-            if limit is not None:
-                sys.set_int_max_str_digits(limit)
+            sys.set_int_max_str_digits(limit)
 
     def test_numbers_of_the_most_digits_parse(self):
         game = parse_pgsolver(f"parity {MOST};\n{MOST} {MOST} 0 {'0' * 4299}1,{MOST};\n1 2 1 1;\n")
@@ -296,12 +293,14 @@ class TestWrite:
 
     @pytest.mark.parametrize(
         "other, message",
-        [(label, "^node 1 has label 7; labels must be strings$") for label in (None, "a", "", 0)]
+        [(label, "^node 1 has label 7; labels must be strings$") for label in (None, "a", "")]
+        + [(label, f"^node 0 has label {label}; labels must be strings$") for label in (0, False, 0.0)]
         + [('q"', "^node 0 has label 'q\"'; labels cannot hold")],
     )
     def test_a_label_that_is_not_a_string_is_refused_before_the_first_line(self, other, message):
-        # node 1's label makes the column's join raise TypeError, and the
-        # rescan names the first node at fault
+        # node 1's label makes the column's join raise TypeError, a falsy
+        # label that is not None is left out of the join and counted, and
+        # the rescan names the first node at fault
         game = ParityGame([0, 1, 2], [0, 1, 0], [2, 1, 3], [other, 7, "b"], [(1,), (2,), (0,)])
         with pytest.raises(ValueError, match=message):
             pgsolver_lines(game)

@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import sys
 import weakref
 
 import pytest
@@ -148,9 +147,6 @@ class TestReduceGame:
         with pytest.raises(ValueError, match="^a game without nodes has no sink game$"):
             reduce_game(ParityGame([], [], [], [], []))
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11), reason="before 3.11 a caller holds its call arguments"
-    )
     def test_the_input_game_is_freed_before_the_sink_game_is_built(self, monkeypatch):
         # reduce_game keeps copies of the columns only, so a game that the
         # caller passes without keeping it is gone before the sink game exists

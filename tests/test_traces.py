@@ -186,14 +186,12 @@ def test_malformed_trace_raises_value_error_naming_the_part(ladder_run, reader, 
 
 @pytest.fixture
 def no_int_digit_limit():
-    """Python's own int digit limit lifted, as on a Python that has none
-    (before 3.10.7): json.loads then reads a number of any length."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    """Python's own int digit limit lifted: json.loads then reads a number
+    of any length."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     yield
-    if limit is not None:
-        sys.set_int_max_str_digits(limit)
+    sys.set_int_max_str_digits(limit)
 
 
 LONG = 10**MAX_DIGITS  # the least number of more than MAX_DIGITS digits
