@@ -5,30 +5,30 @@ choice, and repeat until no candidate remains:
 
 * single-player improvement: candidates are the player's improving moves;
 * symmetric improvement: each player's improving moves are filtered to the
-  edges of the opponent's optimal counterstrategy, which
-  :func:`~sinkgames.valuation.counter_choices` reads off the opponent's
-  codes: these are always a fixpoint of
-  :func:`~sinkgames.valuation.solve_values`, so the least successor code at
-  any node but the sink is the node's own code less its weight;
+  edges of the opponent's optimal counterstrategy, the best response that
+  :func:`~sinkgames.valuation.solve_values` keeps with the opponent's
+  codes, by one index comparison per edge;
 * generalized symmetric improvement: the filter is the weak candidate set
   under the opponent's valuation instead of the counterstrategy edges.
 
 One loop serves all three. It keeps each piece of per-player state (the
-strategy as :meth:`~sinkgames.valuation.GameIndex.strategy_array` holds
-it, its codes, the nodes switched since its last valuation, its improving
-edges) in a two-slot list indexed by ``PLAYER0``/``PLAYER1`` and runs
-each step once per player that has a start strategy: one in
-single-player improvement, both otherwise. Each player's codes are that player's gain (see
-:mod:`sinkgames.valuation`), so no step branches on the player.
+strategy as :meth:`~sinkgames.valuation.GameIndex.strategy_array` holds it,
+its codes and the best response to them, the nodes switched since its last
+valuation, its improving edges) in a two-slot list indexed by
+``PLAYER0``/``PLAYER1`` and runs each step once per player that has a start
+strategy: one in single-player improvement, both otherwise. Each player's
+codes are that player's gain (see :mod:`sinkgames.valuation`), so no step
+branches on the player.
 
 The loops rewire both strategies simultaneously from one chosen set per
 iteration. A player is revalued when it has never been valued or has
 switched since: the first valuation starts cold, each later one resumes
-from the previous and recomputes only the backward cone of the switched
-nodes. The first valuation is also the admissibility check of a start: it
-raises ``NotAdmissibleError`` naming the start that fails it. An
-"iteration" is a pass that applies at least one switch; the final pass
-that only detects termination is recorded in the trace but not counted.
+from the previous and recomputes only the play subtree of the switched
+nodes, as every switch strictly improves. The first valuation is also the
+admissibility check of a start: it raises ``NotAdmissibleError`` naming the
+start that fails it. An "iteration" is a pass that applies at least one
+switch; the final pass that only detects termination is recorded in the
+trace but not counted.
 """
 
 from __future__ import annotations
@@ -161,9 +161,11 @@ def _run_loop(
     # without a start strategy stay unused. first[p][v] is p's choice at
     # each node v of p.
     first = [None if start is None else gi.strategy_array(start) for start in starts]
+    # each player's codes and the opponent's best response to them
     codes: list[list[int] | None] = [None, None]
-    # nodes switched since each player's last valuation, whose backward
-    # cone is all that the next valuation recomputes
+    response: list[list[int] | None] = [None, None]
+    # nodes switched since each player's last valuation, whose play
+    # subtree is all that the next valuation recomputes
     switched: list[list[int]] = [[], []]
     improving: list[list[tuple[int, int]]] = [[], []]
 
@@ -179,8 +181,9 @@ def _run_loop(
 
         for p in players:
             if codes[p] is None or switched[p]:
+                prev = None if codes[p] is None else (codes[p], response[p])
                 try:
-                    codes[p] = solve_values(gi, first[p], p, codes[p], switched[p])
+                    codes[p], response[p] = solve_values(gi, first[p], p, prev, switched[p])
                 except NotAdmissibleError as exc:
                     if codes[p] is None:
                         start = "" if mode == SI else f" player {p}"
@@ -199,7 +202,8 @@ def _run_loop(
             if mode == SI:
                 candidates += improving[p]
             elif mode == SSI:
-                candidates += counter_choices(gi, codes[q], q, improving[p])
+                counter = response[q]
+                candidates += [(v, w) for v, w in improving[p] if counter[v] == w]
             else:  # GSSI
                 candidates += weak_edges(improving[p], first[p], codes[q])
 
@@ -236,7 +240,7 @@ def _run_loop(
     xi: list[Valuation | None] = [None, None]
     for p in players:
         final[p] = Strategy(p, {ids[v]: ids[first[p][v]] for v in gi.nodes[p]})
-        xi[p] = valuation_from_codes(gi, codes[p], p)
+        xi[p] = valuation_from_codes(gi, codes[p], response[p], p)
     trace = IterationTrace(tuple(records))
     return SolveResult(final[PLAYER0], final[PLAYER1], xi[PLAYER0], xi[PLAYER1], switching, trace)
 
@@ -285,7 +289,9 @@ def verify_optimal(game: ParityGame, sigma: Strategy, tau: Strategy) -> Optimali
     gi = game_index(game)
     codes = _pair_codes(gi, gi.strategy_array(sigma, tau))
     if codes is not None:
-        xi = valuation_from_codes(gi, codes, PLAYER0)
+        counter = [gi.sink] * len(codes)
+        counter_choices(gi, codes, PLAYER0, gi.nodes[PLAYER1], counter)
+        xi = valuation_from_codes(gi, codes, counter, PLAYER0)
         return OptimalityCertificate(True, frozenset(), frozenset(), (), xi)
     xi_sigma, xi_tau = valuate(game, sigma), valuate(game, tau)
     imp_sigma = improving_moves(game, sigma, xi_sigma)

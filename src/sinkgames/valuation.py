@@ -16,12 +16,14 @@ and a :class:`Valuation` decodes its play values only when they are read,
 undoing player 1's sign. Any relaxation schedule reaches the same fixpoint,
 which is what makes runs reproducible.
 
-The improvement loops revalue a strategy incrementally: after a switch only
-the backward cone of the switched nodes (the nodes with a path to one of
-them in the new strategy subgraph) can change value. :func:`solve_values`
-relaxes that cone alone, while every other node keeps its exact previous
-code, since none of its paths crosses a switch. A cold start is the same
-computation with every node but the sink in the cone.
+The improvement loops revalue a strategy incrementally. Each valuation keeps
+the opponent's best response, so the play of every node, the choice or the
+response at each step, is known. After switches that all strictly improve,
+:func:`solve_values` relaxes the play subtree of the switched nodes (the
+nodes whose play crosses one), after any other switch their backward cone
+(the nodes with a path to one of them in the new strategy subgraph); every
+other node keeps its exact code. A cold start is the same computation with
+every node but the sink in the cone.
 
 The cone is found by one DFS over reversed subgraph edges and swept in
 its reverse postorder, which puts every node after the nodes it leads to
@@ -154,13 +156,16 @@ class Valuation:
 
     The values are held encoded: ``codes[i]`` belongs to node ``gi.ids[i]``
     under ``gi.codec``, negated for player 1, so that higher codes are
-    better for ``player`` whichever player it is. ``values`` decodes them
-    all, and ``counter`` finds the response, when each is first read.
+    better for ``player`` whichever player it is. ``response[i]`` is the
+    index of the opponent's best response at each opponent node, as
+    :func:`counter_choices` writes it. ``values`` decodes the codes and
+    ``counter`` maps the response to ids, when each is first read.
     """
 
     player: int
     codes: tuple[int, ...]
     gi: GameIndex = field(repr=False, compare=False)
+    response: tuple[int, ...] = field(repr=False, compare=False)
 
     @cached_property
     def values(self) -> dict[int, PlayValue]:
@@ -171,15 +176,10 @@ class Valuation:
     @cached_property
     def counter(self) -> Strategy:
         """The opponent's tie-break-deterministic best response: at each
-        opponent node the successor of least code, smallest id on ties.
-        It is read off the fixpoint equations by :func:`counter_choices`,
-        so ``codes`` must be a fixpoint of :func:`solve_values`, as every
-        valuation the library builds is."""
-        gi = self.gi
-        edges = [(v, w) for v in gi.nodes[1 - self.player] for w in gi.succ[v]]
-        choice = counter_choices(gi, self.codes, self.player, edges)
-        ids = gi.ids
-        return Strategy(1 - self.player, {ids[v]: ids[w] for v, w in choice})
+        opponent node the successor of least code, smallest id on ties."""
+        ids, response = self.gi.ids, self.response
+        opponent = self.gi.nodes[1 - self.player]
+        return Strategy(1 - self.player, {ids[v]: ids[response[v]] for v in opponent})
 
 
 def game_index(game: ParityGame) -> GameIndex:
@@ -319,65 +319,98 @@ def solve_values(
     gi: GameIndex,
     succ_first: list[int],
     player: int,
-    prev: list[int] | None = None,
+    prev: tuple[list[int], list[int]] | None = None,
     switched: Sequence[int] = (),
-) -> list[int]:
-    """Encoded valuation of a strategy subgraph; raises NotAdmissibleError.
+) -> tuple[list[int], list[int]]:
+    """Encoded valuation of a strategy subgraph and the opponent's best
+    response to it, as :func:`counter_choices` writes it; raises
+    NotAdmissibleError.
 
     ``succ_first`` is the array of :meth:`GameIndex.strategy_array` for a
     strategy of ``player``, whose subgraph's other edges are
     ``gi.player_arrays(player)[1]``. The codes are that player's gain, player 1's
     negated, so the opponent takes the least successor code at its nodes
     whichever player is valued. Without ``prev`` every node but the sink is
-    relaxed (a cold start). ``prev`` resumes from the fixpoint of the same
-    player's admissible strategy before the nodes ``switched`` changed
-    their choice: only their backward cone is relaxed again, while every
-    other node keeps its exact code, since none of its paths crosses a
-    switch.
+    relaxed (a cold start). ``prev`` resumes from the codes and response of
+    the same player's admissible strategy before the nodes ``switched``
+    changed their choice. When every switch strictly improves, codes only
+    rise, so a node whose play avoids the switched nodes keeps its code, as
+    the opponent can still follow that play, and its response, as no
+    successor can newly tie below it: only the play subtree of the switched
+    nodes is relaxed, which holds every node a switch cuts off from the
+    sink. After any other switch their backward cone is, outside which no
+    path crosses a switch. The response is written at the relaxed nodes and
+    the sink.
 
     The relaxed nodes, reset to the sentinel, are swept in the order of
     :func:`successors_first`, whose DFS starts at the sink's predecessors
-    for a cold start and at the switched nodes for a cone, until a sweep
-    changes nothing, within ``len(back) + 2`` sweeps but no more than
-    ``max(|V|, 2)``. The seeds of :func:`sweep_to_fixpoint` are the nodes
-    the DFS's back edges lead to: in reverse postorder those edges are the
-    only ones whose source is relaxed before its target, so these nodes
-    alone read a value written after them. Sweep k leaves the values of a
-    full sweep k, which have taken in every walk that leaves the relaxed
-    nodes along at most k - 1 back edges, and which fall from the sentinel
-    but never below a fixpoint. Without a cycle that favours the opponent,
-    the opponent's best walk is a simple path, which takes each back edge
-    at most once and fewer than |V| edges in all, so the values settle by
-    sweep ``len(back) + 1`` and by sweep |V| - 1, and the next sweep
-    confirms it; without a back edge the first sweep is the exact fixpoint
-    and the second relaxes nothing. With such a cycle, a settled sweep
-    would be a fixpoint along it, which its nonzero weight rules out
-    (:class:`~sinkgames.playvalues.ValueCodec` gives no simple cycle weight
-    0). So the budget decides admissibility whatever the order. The same
-    holds for nodes without a path to the sink, which lead to a cycle
-    without one: a cold start that misses such a node fails at once, as the
-    sweeps would. Settled values are checked to lie within the codec's
-    ``finite_bound``, which holds every simple-path value and no value the
-    budget leaves on the sentinel side, as a guard of the encoding. The
-    cone is never warm-started from its old codes: from there values can
-    creep around a cycle one lap per sweep, and the budget would no longer
-    decide it.
+    for a cold start and at the switched nodes for a cone, or of one DFS
+    preorder from the switched nodes over the predecessors whose play steps
+    to the node reached, until a sweep changes nothing, within
+    ``len(back) + 2`` sweeps but no more than ``max(|V|, 2)``. The seeds of
+    :func:`sweep_to_fixpoint`, ``back``, are the nodes placed before one of
+    their successors: the only nodes that read a value written after them.
+    Sweep k leaves the values of a full sweep k, which have taken in every
+    walk that leaves the relaxed nodes along at most k - 1 back edges, and
+    which fall from the sentinel but never below a fixpoint. Without a cycle
+    that favours the opponent, the opponent's best walk is a simple path,
+    which takes each back edge at most once and fewer than |V| edges in all,
+    so the values settle by sweep ``len(back) + 1`` and by sweep |V| - 1,
+    and the next sweep confirms it; without a back edge the first sweep is
+    the exact fixpoint and the second relaxes nothing. With such a cycle, a
+    settled sweep would be a fixpoint along it, which its nonzero weight
+    rules out (:class:`~sinkgames.playvalues.ValueCodec` gives no simple
+    cycle weight 0). So the budget decides admissibility whatever the order.
+    The same holds for nodes without a path to the sink, which lead to a
+    cycle without one: a cold start that misses such a node fails at once,
+    as the sweeps would. Settled values are checked to lie within the
+    codec's ``finite_bound``, which holds every simple-path value and no
+    value the budget leaves on the sentinel side, as a guard of the
+    encoding. The relaxed nodes never start from their old codes: from there
+    values can creep around a cycle one lap per sweep, and the budget would
+    no longer decide it.
     """
     # one check per call: the slot is None until the player is first read
     weight, succ_rest = gi._arrays[player] or gi.player_arrays(player)
     pred = gi.pred[player], gi.pred[1 - player]
+    n, sink = len(gi.ids), gi.sink
     if prev is None:
-        sink = gi.sink
         roots = [u for u in pred[0][sink] if succ_first[u] == sink] + pred[1][sink]
-        values = [0] * len(gi.ids)
+        values, response = [0] * n, [sink] * n
         order, back = successors_first(gi, succ_first, player, roots, values)
-        if len(order) < len(gi.ids) - 1:
+        if len(order) < n - 1:
             # the DFS missed a node without a path to the sink
             raise NotAdmissibleError("valuation fixpoint did not stabilize")
     else:
-        values = list(prev)
-        order, back = successors_first(gi, succ_first, player, switched, values)
-    budget = min(max(len(gi.ids), 2), len(back) + 2)
+        values, response = list(prev[0]), list(prev[1])
+        if all(weight[v] + values[succ_first[v]] > values[v] for v in switched):
+            # the sink's code is fixed: marked placed, it is never entered
+            placed = [False] * n
+            placed[sink] = True
+            order, back = [], []
+            init = gi.codec.pos_code
+            stack = list(switched)
+            while stack:
+                v = stack.pop()
+                if placed[v]:
+                    continue
+                placed[v] = True
+                order.append(v)
+                values[v] = init
+                for u in pred[0][v]:
+                    if succ_first[u] == v:
+                        if placed[u]:
+                            back.append(u)
+                        else:
+                            stack.append(u)
+                for u in pred[1][v]:
+                    if placed[u]:
+                        back.append(u)
+                    elif response[u] == v:
+                        stack.append(u)
+        else:
+            order, back = successors_first(gi, succ_first, player, switched, values)
+    budget = min(max(n, 2), len(back) + 2)
     if not sweep_to_fixpoint(weight, order, succ_first, succ_rest, values, pred, back, budget):
         raise NotAdmissibleError("valuation fixpoint did not stabilize")
     # by the argument above settled values are in range, so this check,
@@ -390,42 +423,35 @@ def solve_values(
         raise NotAdmissibleError(
             f"node {gi.ids[min(out)]} cannot reach the sink under this strategy"
         )
-    return values
+    order.append(sink)
+    counter_choices(gi, values, player, order, response)
+    return values, response
 
 
 def counter_choices(
-    gi: GameIndex, codes: Sequence[int], player: int, edges: Iterable[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The index edges of ``edges``, out of nodes of ``player``'s opponent,
-    that are the opponent's optimal response to the fixpoint ``codes`` of
-    ``player``: the least code of the successors, smallest node id on ties.
-
-    The least code is read off the fixpoint equation of :func:`solve_values`,
-    ``codes[v] = weight[v] + min(codes[u] for u in succ[v])``, which holds at
-    every opponent node but the sink, whose code is fixed at 0 and whose
-    least successor code is taken directly. So only an edge that attains
-    it needs a scan of its source's successors for a smaller id.
-    """
-    weight, succ, sink = (gi._arrays[player] or gi.player_arrays(player))[0], gi.succ, gi.sink
-    out = []
-    for v, w in edges:
-        x = codes[w]
-        if v == sink:
-            if x != min([codes[u] for u in succ[v]]):
-                continue
-        elif x != codes[v] - weight[v]:
-            continue
-        for u in succ[v]:
-            if u < w and codes[u] == x:
-                break
-        else:
-            out.append((v, w))
-    return out
+    gi: GameIndex, codes: Sequence[int], player: int, nodes: Iterable[int], response: list[int]
+) -> None:
+    """Write into ``response``, at each node of ``nodes`` that ``player``'s
+    opponent owns, the opponent's best response to the codes of ``player``:
+    the successor of least code, smallest index (and so id) on ties."""
+    owner, succ = gi.owner, gi.succ
+    for v in nodes:
+        if owner[v] != player:
+            row = succ[v]
+            w = row[0]
+            m = codes[w]
+            for u in row:
+                x = codes[u]
+                if x < m or (x == m and u < w):
+                    m, w = x, u
+            response[v] = w
 
 
-def valuation_from_codes(gi: GameIndex, values: list[int], player: int) -> Valuation:
-    """Wrap an encoded value array into a Valuation."""
-    return Valuation(player, tuple(values), gi)
+def valuation_from_codes(
+    gi: GameIndex, values: list[int], response: list[int], player: int
+) -> Valuation:
+    """Wrap an encoded value array and its best response into a Valuation."""
+    return Valuation(player, tuple(values), gi, tuple(response))
 
 
 def valuate(game: ParityGame, strategy: Strategy) -> Valuation:
@@ -440,7 +466,7 @@ def valuate(game: ParityGame, strategy: Strategy) -> Valuation:
     check_strategy(game, strategy)
     gi = game_index(game)
     player = strategy.player
-    return valuation_from_codes(gi, solve_values(gi, gi.strategy_array(strategy), player), player)
+    return valuation_from_codes(gi, *solve_values(gi, gi.strategy_array(strategy), player), player)
 
 
 def is_admissible(game: ParityGame, strategy: Strategy) -> bool:

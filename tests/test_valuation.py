@@ -32,6 +32,7 @@ from sinkgames.valuation import (
     successors_first,
     sweep_to_fixpoint,
     valuate,
+    valuation_from_codes,
 )
 from valuation_reference import ReferenceGame, full_sweeps
 
@@ -542,6 +543,11 @@ def _codes_or_error(*args):
         return str(exc)
 
 
+def _codes(result):
+    """The codes of a ``solve_values`` result, or its error message."""
+    return result if isinstance(result, str) else result[0]
+
+
 def _gains(player, codes):
     """Codes in player 0's terms as ``player``'s engine codes, which are
     negated for player 1; the same map back, and an error message passes
@@ -578,7 +584,7 @@ class TestIncrementalRevaluation:
                         outcomes["error"] += 1
                         continue
                     outcomes["same"] += 1
-                    changed = {v for v in range(len(got)) if got[v] != prev[v]}
+                    changed = {v for v in range(len(got[0])) if got[0][v] != prev[0][v]}
                     if changed - set(switched):
                         outcomes["cone_changed_outside_switches"] += 1
                     first, prev = new_first, got
@@ -589,7 +595,7 @@ class TestIncrementalRevaluation:
     def test_no_switch_keeps_every_code(self):
         inst = gen_table1(4)
         xi = valuate(inst.game, inst.sigma0)
-        gi, cold = xi.gi, list(xi.codes)
+        gi, cold = xi.gi, (list(xi.codes), list(xi.response))
         first = gi.strategy_array(inst.sigma0)
         assert solve_values(gi, first, 0, cold, ()) == cold
 
@@ -660,6 +666,23 @@ def _unpeeled(sub, nodes):
     return inside
 
 
+def _crossing_plays(gi, choice, player, response, switched):
+    """The nodes but the sink whose play, the valued player's ``choice`` or
+    the opponent's ``response`` at each step, meets a node of ``switched``
+    before the sink: what ``solve_values`` relaxes after switches that all
+    strictly improve, found by following each node's play."""
+    hits = set(switched) - {gi.sink}
+    out = set()
+    for u in range(len(gi.ids)):
+        v, seen = u, set()
+        while v not in hits and v != gi.sink and v not in seen:
+            seen.add(v)
+            v = choice[v] if gi.owner[v] == player else response[v]
+        if v in hits:
+            out.add(u)
+    return out
+
+
 class TestReferenceEngine:
     """The successor-first engine against ``valuation_reference``, a frozen
     copy of the sink-BFS sweep that shares no code with ``sinkgames``: codes
@@ -693,12 +716,12 @@ class TestReferenceEngine:
                     for v in own:
                         choice[v] = rng.choice(gi.succ[v])
                     got = _codes_or_error(gi, choice, player)
-                    assert got == _gains(player, ref.codes(player, choice))
+                    assert _codes(got) == _gains(player, ref.codes(player, choice))
                     seen["cold error" if isinstance(got, str) else "cold"] += 1
                 # chains of switches from the admissible strategy
                 choice = gi.strategy_array(strategy)
                 prev = solve_values(gi, choice, player)
-                assert prev == _gains(player, ref.codes(player, choice))
+                assert prev[0] == _gains(player, ref.codes(player, choice))
                 movable = [v for v in own if len(gi.succ[v]) > 1]
                 if not movable:
                     continue
@@ -708,11 +731,11 @@ class TestReferenceEngine:
                     for v in switched:
                         new_choice[v] = rng.choice(gi.succ[v])
                     got = _codes_or_error(gi, new_choice, player, prev, switched)
-                    expected = ref.codes(player, new_choice, _gains(player, prev), switched)
-                    assert got == _gains(player, expected)
+                    expected = ref.codes(player, new_choice, _gains(player, prev[0]), switched)
+                    assert _codes(got) == _gains(player, expected)
                     sub = ref.subgraph(player, new_choice)
                     cone = ref.cone(sub, switched)
-                    order, back = successors_first(gi, new_choice, player, switched, list(prev))
+                    order, back = successors_first(gi, new_choice, player, switched, list(prev[0]))
                     cyclic = bool(back)
                     assert set(order) == cone - {gi.sink}
                     assert set(back) <= _unpeeled(sub, order)
@@ -762,8 +785,8 @@ class TestReferenceEngine:
         assert order[0] == 1 and set(order) == {1, 3, 4} and set(back) <= {3, 4}
         expected = _reference(game).codes(0, choice, prev, [1, 3])
         assert expected == "valuation fixpoint did not stabilize"
-        assert _codes_or_error(gi, choice, 0, prev, [1, 3]) == expected
-        assert _codes_or_error(gi, choice, 0) == _reference(game).codes(0, choice)
+        assert _codes_or_error(gi, choice, 0, (prev, list(xi.response)), [1, 3]) == expected
+        assert _codes(_codes_or_error(gi, choice, 0)) == _reference(game).codes(0, choice)
 
     @pytest.mark.parametrize(
         "player, owners, priorities, choice",
@@ -811,7 +834,8 @@ class TestReferenceEngine:
             for args in ((), (prev, switched)):
                 expected = ref.codes(0, choice, *args)
                 assert isinstance(expected, str)
-                assert _codes_or_error(gi, choice, 0, *args) == expected
+                engine_args = args and ((prev, list(xi.response)), switched)
+                assert _codes_or_error(gi, choice, 0, *engine_args) == expected
 
     def test_ids_with_gaps_valuate_like_their_relabelling(self):
         # every id goes through the index map, so gaps change nothing
@@ -835,7 +859,8 @@ class TestReferenceEngine:
     def test_acyclic_cone_takes_one_pass(self, monkeypatch):
         # each solve_values call sweeps once; without a back edge its budget
         # is 2 sweeps, the first relaxes every node once and the confirming
-        # sweep relaxes none
+        # sweep relaxes none. The switch strictly improves, so the relaxed
+        # nodes are the play subtree of the switched node, inside its cone
         game, rmap = reduce_game(random_parity_game(random.Random(193), 40, 40))
         sigma, tau = trivial_strategies(game, rmap)
         gi = game_index(game)
@@ -860,20 +885,24 @@ class TestReferenceEngine:
             sweeps.clear()
             relaxed.clear()
             cold = solve_values(gi, choice, player)
-            assert cold == _gains(player, ref.codes(player, choice))
+            assert cold[0] == _gains(player, ref.codes(player, choice))
             # the trivial strategies exit at once: no cycle avoids the sink
             assert sweeps == [2]
             assert sorted(relaxed) == [v for v in range(len(gi.ids)) if v != gi.sink]
             v = next(v for v in gi.nodes[player] if len(gi.succ[v]) > 1)
-            choice[v] = next(w for w in gi.succ[v] if w != choice[v])
-            order, back = successors_first(gi, choice, player, [v], list(cold))
+            w = next(w for w in gi.succ[v] if w != choice[v])
+            assert cold[0][w] > cold[0][choice[v]]
+            choice[v] = w
+            order, back = successors_first(gi, choice, player, [v], list(cold[0]))
             assert not back
             sweeps.clear()
             relaxed.clear()
             got = _codes_or_error(gi, choice, player, cold, [v])
-            assert got == _gains(player, ref.codes(player, choice, _gains(player, cold), [v]))
+            assert got[0] == _gains(player, ref.codes(player, choice, _gains(player, cold[0]), [v]))
             assert sweeps == [2]
-            assert sorted(relaxed) == sorted(order)
+            reset = _crossing_plays(gi, choice, player, cold[1], [v])
+            assert sorted(relaxed) == sorted(reset)
+            assert reset <= set(order)
 
     def test_back_edge_budget_decides_like_the_node_budget(self, monkeypatch):
         # solve_values allows len(back) + 2 sweeps, at most max(|V|, 2):
@@ -985,7 +1014,7 @@ class TestChangeDrivenSweep:
                     for v in switched:
                         new_choice[v] = rng.choice(gi.succ[v])
                     got = _codes_or_error(gi, new_choice, player, prev, switched)
-                    _, back = successors_first(gi, new_choice, player, switched, list(prev))
+                    _, back = successors_first(gi, new_choice, player, switched, list(prev[0]))
                     seen["moved"] += bool(set(switched).intersection(back))
                     check("cone")
                     if not isinstance(got, str):
@@ -996,6 +1025,90 @@ class TestChangeDrivenSweep:
         assert seen["settled"] > 50
         assert seen["unsettled"] > 50
         assert seen["budget decides"] > 50
+
+
+class TestPlaySubtree:
+    """Chains of strictly improving switches, which ``solve_values`` revalues
+    by the play subtree of the switched nodes: after every revaluation the
+    codes must equal a cold start's, every stored response the scan of
+    ``_scanned_counter``, and the relaxed nodes the nodes whose play crosses
+    a switch, inside the cone of ``successors_first``."""
+
+    def test_improving_chains_match_cold_starts(self, monkeypatch):
+        relaxed = []
+        real = valuation_module.sweep_to_fixpoint
+
+        def recorded(weight, order, *args):
+            relaxed.append(list(order))
+            return real(weight, order, *args)
+
+        monkeypatch.setattr(valuation_module, "sweep_to_fixpoint", recorded)
+        rng = random.Random(229)
+        cases = TestReferenceEngine._games(rng)
+        for gen, sizes in ((gen_table1, (2, 5, 8)), (gen_table2, (2, 4, 6))):
+            for n in sizes:
+                inst = gen(n)
+                cases.append((inst.game, (inst.sigma0, inst.tau0)))
+        seen = dict.fromkeys(("revalued", "sink of the opponent", "inside the cone"), 0)
+        for game, pair in cases:
+            gi = game_index(game)
+            for strategy in pair:
+                player = strategy.player
+                choice = gi.strategy_array(strategy)
+                prev = solve_values(gi, choice, player)
+                for _ in range(12):
+                    codes = prev[0]
+                    better = {}
+                    for v in gi.nodes[player]:
+                        targets = [w for w in gi.succ[v] if codes[w] > codes[choice[v]]]
+                        if targets:
+                            better[v] = targets
+                    if not better:
+                        break
+                    switched = rng.sample(sorted(better), rng.randint(1, min(3, len(better))))
+                    new_choice = list(choice)
+                    for v in switched:
+                        new_choice[v] = rng.choice(better[v])
+                    relaxed.clear()
+                    got = solve_values(gi, new_choice, player, prev, switched)
+                    reset = set(relaxed[0])
+                    assert got[0] == solve_values(gi, new_choice, player)[0]
+                    xi = valuation_from_codes(gi, *got, player)
+                    assert xi.counter.choice == _scanned_counter(xi)
+                    assert reset == _crossing_plays(gi, new_choice, player, prev[1], switched)
+                    cone, _ = successors_first(gi, new_choice, player, switched, list(codes))
+                    assert reset <= set(cone)
+                    seen["revalued"] += 1
+                    seen["sink of the opponent"] += gi.owner[gi.sink] != player
+                    seen["inside the cone"] += len(reset) < len(cone)
+                    choice, prev = new_choice, got
+        assert seen["revalued"] > 1200
+        assert seen["sink of the opponent"] > 600
+        assert seen["inside the cone"] > 700
+
+    @pytest.mark.parametrize("gen", [gen_table1, gen_table2])
+    def test_a_sink_of_the_opponent_responds_with_itself(self, gen):
+        # a run of player 1 alone reads player 0's best response, the sink's
+        # among it, to pair the final strategy for its certificate
+        inst = gen(4)
+        result = run_si(inst.game, inst.tau0, switch_all_rule())
+        xi, sink = result.xi_tau, inst.game.sink
+        assert inst.game.owner(sink) == 0
+        assert xi.counter.choice[sink] == sink
+        assert xi.counter.choice == _scanned_counter(xi)
+        assert verify_optimal(inst.game, xi.counter, result.tau).ok
+
+    def test_a_sink_with_other_successors_responds_with_the_least(self):
+        # not a sink game, but one the index takes: the sink's response is
+        # scanned like any other node's, and again after each revaluation
+        game = ParityGame(
+            [0, 1, 2], [1, 0, 0], [0, 1, 2], [None] * 3, [(0, 1), (0, 2), (0,)], sink=0
+        )
+        xi = valuate(game, Strategy(0, {1: 0, 2: 0}))
+        assert xi.counter.choice == _scanned_counter(xi) == {0: 1}
+        prev = (list(xi.codes), list(xi.response))
+        xi = valuation_from_codes(xi.gi, *solve_values(xi.gi, [0, 2, 0], 0, prev, [1]), 0)
+        assert xi.counter.choice == _scanned_counter(xi) == {0: 0}
 
 
 class TestGameIndexBuild:
