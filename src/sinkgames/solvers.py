@@ -41,7 +41,6 @@ from .valuation import (
     GameIndex,
     NotAdmissibleError,
     Valuation,
-    counter_choices,
     game_index,
     improving_edges,
     improving_moves,
@@ -240,7 +239,7 @@ def _run_loop(
     xi: list[Valuation | None] = [None, None]
     for p in players:
         final[p] = Strategy(p, {ids[v]: ids[first[p][v]] for v in gi.nodes[p]})
-        xi[p] = valuation_from_codes(gi, codes[p], response[p], p)
+        xi[p] = valuation_from_codes(gi, codes[p], p)
     trace = IterationTrace(tuple(records))
     return SolveResult(final[PLAYER0], final[PLAYER1], xi[PLAYER0], xi[PLAYER1], switching, trace)
 
@@ -289,9 +288,7 @@ def verify_optimal(game: ParityGame, sigma: Strategy, tau: Strategy) -> Optimali
     gi = game_index(game)
     codes = _pair_codes(gi, gi.strategy_array(sigma, tau))
     if codes is not None:
-        counter = [gi.sink] * len(codes)
-        counter_choices(gi, codes, PLAYER0, gi.nodes[PLAYER1], counter)
-        xi = valuation_from_codes(gi, codes, counter, PLAYER0)
+        xi = valuation_from_codes(gi, codes, PLAYER0)
         return OptimalityCertificate(True, frozenset(), frozenset(), (), xi)
     xi_sigma, xi_tau = valuate(game, sigma), valuate(game, tau)
     imp_sigma = improving_moves(game, sigma, xi_sigma)

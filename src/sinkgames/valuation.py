@@ -1,10 +1,9 @@
 """Strategy valuations, improving-move sets, and weak candidate sets.
 
 The valuation of a strategy assigns every node the play value it guarantees
-against a best-responding opponent, together with one optimal response. It
-is computed as the unique finite fixpoint of a local relaxation over the
-strategy subgraph: each node's value is its own priority added to the
-opponent-optimal successor value.
+against a best-responding opponent. It is computed as the unique finite
+fixpoint of a local relaxation over the strategy subgraph: each node's
+value is its own priority added to the opponent-optimal successor value.
 
 The fixpoint runs on integer-encoded play values (see
 :class:`sinkgames.playvalues.ValueCodec`) so that relaxation is plain
@@ -13,25 +12,24 @@ player 1's weights are player 0's negated, so either player prefers higher
 codes and the opponent always takes the least. Values stay encoded inside
 the library: the candidate sets I and J are computed on the code arrays,
 and a :class:`Valuation` decodes its play values only when they are read,
-undoing player 1's sign. Any relaxation schedule reaches the same fixpoint,
+undoing player 1's sign, and finds the opponent's best response only when
+``counter`` is read. Any relaxation schedule reaches the same fixpoint,
 which is what makes runs reproducible.
 
-The improvement loops revalue a strategy incrementally. Each valuation keeps
-the opponent's best response, so the play of every node, the choice or the
-response at each step, is known. After switches that all strictly improve,
-:func:`solve_values` relaxes the play subtree of the switched nodes (the
-nodes whose play crosses one), after any other switch their backward cone
-(the nodes with a path to one of them in the new strategy subgraph); every
-other node keeps its exact code. A cold start is the same computation with
-every node but the sink in the cone.
+The improvement loops revalue a strategy incrementally. They only switch
+along improving edges, so codes only rise, and :func:`solve_values` relaxes
+the play subtree of the switched nodes: the nodes whose play, the choice or
+the opponent's best response at each step, crosses one. Every other node
+keeps its exact code. A cold start, and a resume from switches that do not
+all strictly improve, relaxes every node but the sink.
 
-The cone is found by one DFS over reversed subgraph edges and swept in
-its reverse postorder, which puts every node after the nodes it leads to
-except along a cycle (Tarjan, SIAM J. Comput. 1972), until a sweep changes
-nothing; the sweep budget decides admissibility. After the first sweep a
-node is relaxed again only when one of its successors has changed
-(Ramalingam & Reps, J. Algorithms 1996), so an acyclic cone is relaxed
-once.
+A cold start is swept in the reverse postorder of one DFS over reversed
+subgraph edges from the sink, which puts every node after the nodes it
+leads to except along a cycle (Tarjan, SIAM J. Comput. 1972), until a
+sweep changes nothing; the sweep budget decides admissibility. After the
+first sweep a node is relaxed again only when one of its successors has
+changed (Ramalingam & Reps, J. Algorithms 1996), so an acyclic subgraph is
+relaxed once.
 """
 
 from __future__ import annotations
@@ -151,21 +149,18 @@ class GameIndex:
 
 @dataclass(frozen=True)
 class Valuation:
-    """Node values of one player's strategy plus the optimal response that
-    witnesses them.
+    """Node values of one player's strategy.
 
     The values are held encoded: ``codes[i]`` belongs to node ``gi.ids[i]``
     under ``gi.codec``, negated for player 1, so that higher codes are
-    better for ``player`` whichever player it is. ``response[i]`` is the
-    index of the opponent's best response at each opponent node, as
-    :func:`counter_choices` writes it. ``values`` decodes the codes and
-    ``counter`` maps the response to ids, when each is first read.
+    better for ``player`` whichever player it is. ``values`` decodes the
+    codes and ``counter`` finds the opponent's best response to them, each
+    when first read.
     """
 
     player: int
     codes: tuple[int, ...]
     gi: GameIndex = field(repr=False, compare=False)
-    response: tuple[int, ...] = field(repr=False, compare=False)
 
     @cached_property
     def values(self) -> dict[int, PlayValue]:
@@ -177,8 +172,10 @@ class Valuation:
     def counter(self) -> Strategy:
         """The opponent's tie-break-deterministic best response: at each
         opponent node the successor of least code, smallest id on ties."""
-        ids, response = self.gi.ids, self.response
-        opponent = self.gi.nodes[1 - self.player]
+        gi = self.gi
+        ids, opponent = gi.ids, gi.nodes[1 - self.player]
+        response = [gi.sink] * len(ids)
+        counter_choices(gi, self.codes, self.player, opponent, response)
         return Strategy(1 - self.player, {ids[v]: ids[response[v]] for v in opponent})
 
 
@@ -259,41 +256,33 @@ def sweep_to_fixpoint(
 
 
 def successors_first(
-    gi: GameIndex,
-    succ_first: list[int],
-    player: int,
-    roots: Sequence[int],
-    values: list[int],
+    gi: GameIndex, succ_first: list[int], player: int
 ) -> tuple[list[int], list[int]]:
-    """The nodes with a path to a node of ``roots`` in the strategy
-    subgraph, the roots included and the sink left out, in the reverse
-    postorder of one DFS over reversed subgraph edges; and the nodes its
-    back edges lead to, which are there exactly when those nodes span a
-    cycle.
+    """The nodes with a path to the sink in the strategy subgraph, the sink
+    left out, in the reverse postorder of one DFS over reversed subgraph
+    edges from the sink's predecessors; and the nodes its back edges lead
+    to, which are there exactly when those nodes span a cycle.
 
     In reverse postorder every node comes after its successors, except
-    along a cycle, so each SCC follows the SCCs it reaches. Each node's
-    value is set to the sentinel ``gi.codec.pos_code`` when the DFS
-    finishes it.
+    along a cycle, so each SCC follows the SCCs it reaches.
     """
     # the subgraph keeps the chosen edge of each node of the valued player
     # and every edge of the opponent's
     own_pred, opp_pred = gi.pred[player], gi.pred[1 - player]
-    init = gi.codec.pos_code
+    sink = gi.sink
     # None: unseen, False: on the DFS path, True: finished; the sink's
     # value is fixed, so the DFS never enters it
     state: list[bool | None] = [None] * len(gi.ids)
-    state[gi.sink] = True
+    state[sink] = True
     post: list[int] = []
     back: list[int] = []
     # a pushed ~v finishes v once everything pushed after it is done
-    stack = list(roots)
+    stack = [u for u in own_pred[sink] if succ_first[u] == sink] + opp_pred[sink]
     while stack:
         v = stack.pop()
         if v < 0:
             v = ~v
             state[v] = True
-            values[v] = init
             post.append(v)
         elif state[v] is None:
             state[v] = False
@@ -330,24 +319,22 @@ def solve_values(
     strategy of ``player``, whose subgraph's other edges are
     ``gi.player_arrays(player)[1]``. The codes are that player's gain, player 1's
     negated, so the opponent takes the least successor code at its nodes
-    whichever player is valued. Without ``prev`` every node but the sink is
-    relaxed (a cold start). ``prev`` resumes from the codes and response of
-    the same player's admissible strategy before the nodes ``switched``
+    whichever player is valued. ``prev`` resumes from the codes and response
+    of the same player's admissible strategy before the nodes ``switched``
     changed their choice. When every switch strictly improves, codes only
     rise, so a node whose play avoids the switched nodes keeps its code, as
     the opponent can still follow that play, and its response, as no
     successor can newly tie below it: only the play subtree of the switched
     nodes is relaxed, which holds every node a switch cuts off from the
-    sink. After any other switch their backward cone is, outside which no
-    path crosses a switch. The response is written at the relaxed nodes and
-    the sink.
+    sink, and the response is written there and at the sink. Without
+    ``prev``, or when a switch does not strictly improve, every node but
+    the sink is relaxed and responds (a cold start).
 
     The relaxed nodes, reset to the sentinel, are swept in the order of
-    :func:`successors_first`, whose DFS starts at the sink's predecessors
-    for a cold start and at the switched nodes for a cone, or of one DFS
-    preorder from the switched nodes over the predecessors whose play steps
-    to the node reached, until a sweep changes nothing, within
-    ``len(back) + 2`` sweeps but no more than ``max(|V|, 2)``. The seeds of
+    :func:`successors_first` for a cold start, or of one DFS preorder from
+    the switched nodes over the predecessors whose play steps to the node
+    reached, until a sweep changes nothing, within ``len(back) + 2`` sweeps
+    but no more than ``max(|V|, 2)``. The seeds of
     :func:`sweep_to_fixpoint`, ``back``, are the nodes placed before one of
     their successors: the only nodes that read a value written after them.
     Sweep k leaves the values of a full sweep k, which have taken in every
@@ -373,43 +360,39 @@ def solve_values(
     # one check per call: the slot is None until the player is first read
     weight, succ_rest = gi._arrays[player] or gi.player_arrays(player)
     pred = gi.pred[player], gi.pred[1 - player]
-    n, sink = len(gi.ids), gi.sink
-    if prev is None:
-        roots = [u for u in pred[0][sink] if succ_first[u] == sink] + pred[1][sink]
-        values, response = [0] * n, [sink] * n
-        order, back = successors_first(gi, succ_first, player, roots, values)
+    n, sink, init = len(gi.ids), gi.sink, gi.codec.pos_code
+    if prev is not None and all(weight[v] + prev[0][succ_first[v]] > prev[0][v] for v in switched):
+        values, response = list(prev[0]), list(prev[1])
+        # the sink's code is fixed: marked placed, it is never entered
+        placed = [False] * n
+        placed[sink] = True
+        order, back = [], []
+        stack = list(switched)
+        while stack:
+            v = stack.pop()
+            if placed[v]:
+                continue
+            placed[v] = True
+            order.append(v)
+            values[v] = init
+            for u in pred[0][v]:
+                if succ_first[u] == v:
+                    if placed[u]:
+                        back.append(u)
+                    else:
+                        stack.append(u)
+            for u in pred[1][v]:
+                if placed[u]:
+                    back.append(u)
+                elif response[u] == v:
+                    stack.append(u)
+    else:
+        order, back = successors_first(gi, succ_first, player)
         if len(order) < n - 1:
             # the DFS missed a node without a path to the sink
             raise NotAdmissibleError("valuation fixpoint did not stabilize")
-    else:
-        values, response = list(prev[0]), list(prev[1])
-        if all(weight[v] + values[succ_first[v]] > values[v] for v in switched):
-            # the sink's code is fixed: marked placed, it is never entered
-            placed = [False] * n
-            placed[sink] = True
-            order, back = [], []
-            init = gi.codec.pos_code
-            stack = list(switched)
-            while stack:
-                v = stack.pop()
-                if placed[v]:
-                    continue
-                placed[v] = True
-                order.append(v)
-                values[v] = init
-                for u in pred[0][v]:
-                    if succ_first[u] == v:
-                        if placed[u]:
-                            back.append(u)
-                        else:
-                            stack.append(u)
-                for u in pred[1][v]:
-                    if placed[u]:
-                        back.append(u)
-                    elif response[u] == v:
-                        stack.append(u)
-        else:
-            order, back = successors_first(gi, succ_first, player, switched, values)
+        values, response = [init] * n, [sink] * n
+        values[sink] = 0
     budget = min(max(n, 2), len(back) + 2)
     if not sweep_to_fixpoint(weight, order, succ_first, succ_rest, values, pred, back, budget):
         raise NotAdmissibleError("valuation fixpoint did not stabilize")
@@ -447,11 +430,9 @@ def counter_choices(
             response[v] = w
 
 
-def valuation_from_codes(
-    gi: GameIndex, values: list[int], response: list[int], player: int
-) -> Valuation:
-    """Wrap an encoded value array and its best response into a Valuation."""
-    return Valuation(player, tuple(values), gi, tuple(response))
+def valuation_from_codes(gi: GameIndex, values: list[int], player: int) -> Valuation:
+    """Wrap an encoded value array into a Valuation."""
+    return Valuation(player, tuple(values), gi)
 
 
 def valuate(game: ParityGame, strategy: Strategy) -> Valuation:
@@ -466,7 +447,8 @@ def valuate(game: ParityGame, strategy: Strategy) -> Valuation:
     check_strategy(game, strategy)
     gi = game_index(game)
     player = strategy.player
-    return valuation_from_codes(gi, *solve_values(gi, gi.strategy_array(strategy), player), player)
+    codes, _ = solve_values(gi, gi.strategy_array(strategy), player)
+    return valuation_from_codes(gi, codes, player)
 
 
 def is_admissible(game: ParityGame, strategy: Strategy) -> bool:

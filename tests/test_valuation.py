@@ -18,7 +18,7 @@ from sinkgames.families import gen_table1, gen_table2
 from sinkgames.game import ParityGame, Strategy
 from sinkgames.playvalues import PlayValue
 from sinkgames.reduction import reduce_game, solve_winners, trivial_strategies
-from sinkgames.rules import switch_all_rule
+from sinkgames.rules import single_lowest_rule, switch_all_rule
 from sinkgames.solvers import run_gssi, run_si, run_ssi, verify_optimal
 from sinkgames import valuation as valuation_module
 from sinkgames.valuation import (
@@ -34,7 +34,7 @@ from sinkgames.valuation import (
     valuate,
     valuation_from_codes,
 )
-from valuation_reference import ReferenceGame, full_sweeps
+from valuation_reference import NOT_STABLE, ReferenceGame, full_sweeps
 
 
 def pv(mapping):
@@ -561,13 +561,17 @@ class TestIncrementalRevaluation:
     def test_cone_restart_matches_cold_start(self):
         # chains of random switch sets, improving or not, some of which
         # leave the strategy inadmissible; the restart must reproduce the
-        # cold codes or its error exactly
+        # cold codes and response, or its error, exactly. A resume from
+        # switches that do not all strictly improve is a cold start itself
         rng = random.Random(173)
-        outcomes = {"same": 0, "error": 0, "cone_changed_outside_switches": 0}
+        outcomes = dict.fromkeys(
+            ("same", "error", "not improving", "cone_changed_outside_switches"), 0
+        )
         for game, pair in _seeded_games(rng, 60):
             gi = game_index(game)
             for strategy in pair:
                 player = strategy.player
+                weight = gi.player_arrays(player)[0]
                 first = gi.strategy_array(strategy)
                 prev = solve_values(gi, first, player)
                 movable = [v for v in gi.nodes[player] if len(gi.succ[v]) > 1]
@@ -579,24 +583,30 @@ class TestIncrementalRevaluation:
                     for v in switched:
                         new_first[v] = rng.choice(gi.succ[v])
                     got = _codes_or_error(gi, new_first, player, prev, switched)
-                    assert got == _codes_or_error(gi, new_first, player)
+                    cold = _codes_or_error(gi, new_first, player)
+                    assert _codes(got) == _codes(cold)
                     if isinstance(got, str):
                         outcomes["error"] += 1
                         continue
+                    assert got[1] == cold[1]
                     outcomes["same"] += 1
+                    outcomes["not improving"] += any(
+                        weight[v] + prev[0][new_first[v]] <= prev[0][v] for v in switched
+                    )
                     changed = {v for v in range(len(got[0])) if got[0][v] != prev[0][v]}
                     if changed - set(switched):
                         outcomes["cone_changed_outside_switches"] += 1
                     first, prev = new_first, got
         assert outcomes["same"] > 400
         assert outcomes["error"] > 75
+        assert outcomes["not improving"] > 200
         assert outcomes["cone_changed_outside_switches"] > 200
 
     def test_no_switch_keeps_every_code(self):
         inst = gen_table1(4)
-        xi = valuate(inst.game, inst.sigma0)
-        gi, cold = xi.gi, (list(xi.codes), list(xi.response))
+        gi = game_index(inst.game)
         first = gi.strategy_array(inst.sigma0)
+        cold = solve_values(gi, first, 0)
         assert solve_values(gi, first, 0, cold, ()) == cold
 
     def test_solver_runs_match_cold_valuations(self):
@@ -611,6 +621,41 @@ class TestIncrementalRevaluation:
                 for final, xi in ((result.sigma, result.xi_sigma), (result.tau, result.xi_tau)):
                     if final is not None:
                         assert xi.codes == valuate(game, final).codes
+
+    def test_each_start_is_the_only_cold_start(self, monkeypatch):
+        # the loops switch only along improving edges, so after each
+        # player's start every revaluation walks the play subtree, and
+        # successors_first, which orders cold starts alone, runs once per
+        # player with a start
+        cold = []
+        real = valuation_module.successors_first
+
+        def counted(gi, succ_first, player):
+            cold.append(player)
+            return real(gi, succ_first, player)
+
+        monkeypatch.setattr(valuation_module, "successors_first", counted)
+        cases = []
+        for gen in (gen_table1, gen_table2):
+            for n in range(1, 7):
+                inst = gen(n)
+                cases.append((inst.game, (inst.sigma0, inst.tau0)))
+        cases += _seeded_games(random.Random(233), 30)
+        revalued = 0
+        for game, (sigma, tau) in cases:
+            runs = (
+                ([0], run_si, (sigma,)),
+                ([1], run_si, (tau,)),
+                ([0, 1], run_ssi, (sigma, tau)),
+                ([0, 1], run_gssi, (sigma, tau)),
+            )
+            for players, run, starts in runs:
+                for rule in (switch_all_rule(), single_lowest_rule()):
+                    cold.clear()
+                    result = run(game, *starts, rule)
+                    assert sorted(cold) == players
+                    revalued += result.iterations
+        assert revalued > 2000
 
 
 class TestCodecBase:
@@ -666,6 +711,12 @@ def _unpeeled(sub, nodes):
     return inside
 
 
+def _stored_counter(gi, response, player):
+    """The opponent's choices that a ``solve_values`` response array holds,
+    by id, as ``_scanned_counter`` gives them."""
+    return {gi.ids[v]: gi.ids[response[v]] for v in gi.nodes[1 - player]}
+
+
 def _crossing_plays(gi, choice, player, response, switched):
     """The nodes but the sink whose play, the valued player's ``choice`` or
     the opponent's ``response`` at each step, meets a node of ``switched``
@@ -686,9 +737,10 @@ def _crossing_plays(gi, choice, player, response, switched):
 class TestReferenceEngine:
     """The successor-first engine against ``valuation_reference``, a frozen
     copy of the sink-BFS sweep that shares no code with ``sinkgames``: codes
-    or error messages must be identical, and the DFS must find the cone,
-    report back edges exactly when it has a cycle, and order acyclic cones
-    successors first."""
+    or error messages must be identical, cold or resumed, and the DFS of a
+    cold start must find the nodes with a path to the sink, report back
+    edges exactly when they span a cycle, and order them successors first
+    when they span none."""
 
     @staticmethod
     def _games(rng):
@@ -701,9 +753,24 @@ class TestReferenceEngine:
             games.append((game, trivial_strategies(game, rmap)))
         return games
 
+    @staticmethod
+    def _cold_order(gi, ref, choice, player):
+        """Check the cold order of ``successors_first`` against the
+        reference's subgraph; True when it spans a cycle."""
+        sub = ref.subgraph(player, choice)
+        order, back = successors_first(gi, choice, player)
+        assert set(order) == ref.cone(sub, [gi.sink]) - {gi.sink}
+        unpeeled = _unpeeled(sub, order)
+        assert set(back) <= unpeeled
+        assert bool(back) == bool(unpeeled)
+        if not back:
+            position = {v: i for i, v in enumerate(order)}
+            assert all(position.get(w, -1) < i for i, v in enumerate(order) for w in sub[v])
+        return bool(back)
+
     def test_cold_and_cone_restarts_match(self):
         rng = random.Random(191)
-        seen = {"cold": 0, "cold error": 0, "acyclic": 0, "cyclic": 0, "error": 0}
+        seen = {"cold": 0, "cold error": 0, "acyclic": 0, "cyclic": 0, "resumed": 0, "error": 0}
         for game, pair in self._games(rng):
             gi = game_index(game)
             ref = _reference(game)
@@ -718,7 +785,9 @@ class TestReferenceEngine:
                     got = _codes_or_error(gi, choice, player)
                     assert _codes(got) == _gains(player, ref.codes(player, choice))
                     seen["cold error" if isinstance(got, str) else "cold"] += 1
-                # chains of switches from the admissible strategy
+                    seen["cyclic" if self._cold_order(gi, ref, choice, player) else "acyclic"] += 1
+                # chains of switches from the admissible strategy, against
+                # the reference's restart of the switched nodes' cone
                 choice = gi.strategy_array(strategy)
                 prev = solve_values(gi, choice, player)
                 assert prev[0] == _gains(player, ref.codes(player, choice))
@@ -733,27 +802,17 @@ class TestReferenceEngine:
                     got = _codes_or_error(gi, new_choice, player, prev, switched)
                     expected = ref.codes(player, new_choice, _gains(player, prev[0]), switched)
                     assert _codes(got) == _gains(player, expected)
-                    sub = ref.subgraph(player, new_choice)
-                    cone = ref.cone(sub, switched)
-                    order, back = successors_first(gi, new_choice, player, switched, list(prev[0]))
-                    cyclic = bool(back)
-                    assert set(order) == cone - {gi.sink}
-                    assert set(back) <= _unpeeled(sub, order)
-                    assert cyclic == bool(_unpeeled(sub, order))
+                    seen["cyclic" if self._cold_order(gi, ref, new_choice, player) else "acyclic"] += 1
                     if isinstance(got, str):
                         seen["error"] += 1
                         continue
-                    seen["cyclic" if cyclic else "acyclic"] += 1
-                    if not cyclic:
-                        position = {v: i for i, v in enumerate(order)}
-                        assert all(
-                            position.get(w, -1) < i for i, v in enumerate(order) for w in sub[v]
-                        )
+                    seen["resumed"] += 1
                     choice, prev = new_choice, got
         assert seen["cold"] > 400
         assert seen["cold error"] > 400
         assert seen["acyclic"] > 1500
         assert seen["cyclic"] > 400
+        assert seen["resumed"] > 2000
         assert seen["error"] > 400
 
     def test_index_form_spans_the_strategy_subgraph(self):
@@ -778,15 +837,17 @@ class TestReferenceEngine:
             [(0,), (0, 2), (0,), (1, 4), (3, 1)],
             sink=0,
         )
-        xi = valuate(game, Strategy(0, {0: 0, 1: 0, 3: 1}))
-        gi, prev = xi.gi, list(xi.codes)
+        gi, ref = game_index(game), _reference(game)
+        prev = solve_values(gi, gi.strategy_array(Strategy(0, {0: 0, 1: 0, 3: 1})), 0)
         choice = [0, 2, 0, 4, 3]
-        order, back = successors_first(gi, choice, 0, [1, 3], list(prev))
-        assert order[0] == 1 and set(order) == {1, 3, 4} and set(back) <= {3, 4}
-        expected = _reference(game).codes(0, choice, prev, [1, 3])
-        assert expected == "valuation fixpoint did not stabilize"
-        assert _codes_or_error(gi, choice, 0, (prev, list(xi.response)), [1, 3]) == expected
-        assert _codes(_codes_or_error(gi, choice, 0)) == _reference(game).codes(0, choice)
+        assert ref.cone(ref.subgraph(0, choice), [1, 3]) == {1, 3, 4}
+        # a cold start orders the SCCs {2} and {1} before {3, 4}
+        order, back = successors_first(gi, choice, 0)
+        assert order[:2] == [2, 1] and set(order) == {1, 2, 3, 4} and set(back) <= {3, 4}
+        expected = ref.codes(0, choice, prev[0], [1, 3])
+        assert expected == NOT_STABLE
+        assert _codes_or_error(gi, choice, 0, prev, [1, 3]) == expected
+        assert _codes(_codes_or_error(gi, choice, 0)) == ref.codes(0, choice)
 
     @pytest.mark.parametrize(
         "player, owners, priorities, choice",
@@ -827,14 +888,13 @@ class TestReferenceEngine:
             [(0,), (0, 2), (0, 3), (2,)],
             sink=0,
         )
-        ref = _reference(game)
-        xi = valuate(game, Strategy(0, {0: 0, 1: 0, 2: 0, 3: 2}))
-        gi, prev = xi.gi, list(xi.codes)
+        gi, ref = game_index(game), _reference(game)
+        prev = solve_values(gi, gi.strategy_array(Strategy(0, {0: 0, 1: 0, 2: 0, 3: 2})), 0)
         for choice, switched in (([0, 2, 3, 2], [1, 2]), ([0, 0, 3, 2], [2])):
-            for args in ((), (prev, switched)):
+            for args in ((), (prev[0], switched)):
                 expected = ref.codes(0, choice, *args)
                 assert isinstance(expected, str)
-                engine_args = args and ((prev, list(xi.response)), switched)
+                engine_args = args and (prev, switched)
                 assert _codes_or_error(gi, choice, 0, *engine_args) == expected
 
     def test_ids_with_gaps_valuate_like_their_relabelling(self):
@@ -893,8 +953,9 @@ class TestReferenceEngine:
             w = next(w for w in gi.succ[v] if w != choice[v])
             assert cold[0][w] > cold[0][choice[v]]
             choice[v] = w
-            order, back = successors_first(gi, choice, player, [v], list(cold[0]))
-            assert not back
+            sub = ref.subgraph(player, choice)
+            cone = ref.cone(sub, [v]) - {gi.sink}
+            assert not _unpeeled(sub, cone)
             sweeps.clear()
             relaxed.clear()
             got = _codes_or_error(gi, choice, player, cold, [v])
@@ -902,7 +963,7 @@ class TestReferenceEngine:
             assert sweeps == [2]
             reset = _crossing_plays(gi, choice, player, cold[1], [v])
             assert sorted(relaxed) == sorted(reset)
-            assert reset <= set(order)
+            assert reset <= cone
 
     def test_back_edge_budget_decides_like_the_node_budget(self, monkeypatch):
         # solve_values allows len(back) + 2 sweeps, at most max(|V|, 2):
@@ -963,12 +1024,12 @@ class TestChangeDrivenSweep:
     replaced: on the order, start values and seeds (the DFS's back edges)
     that ``solve_values`` gives each sweep, every budget k from 1 to |V|
     must give the same verdict and leave the same codes. ``moved`` counts
-    the cones whose switched node closes a cycle."""
+    the resumes where a switched node closes a cycle."""
 
     def test_every_budget_matches_full_sweeps(self, monkeypatch):
         calls = []
         seen = dict.fromkeys(
-            ("cold", "cone", "moved", "settled", "unsettled", "budget decides"), 0
+            ("cold", "resumed", "moved", "settled", "unsettled", "budget decides"), 0
         )
         real = valuation_module.sweep_to_fixpoint
 
@@ -994,7 +1055,7 @@ class TestChangeDrivenSweep:
         monkeypatch.setattr(valuation_module, "sweep_to_fixpoint", recorded)
         rng = random.Random(211)
         for game, pair in _seeded_games(rng, 40):
-            gi = game_index(game)
+            gi, ref = game_index(game), _reference(game)
             for strategy in pair:
                 player = strategy.player
                 own = gi.nodes[player]
@@ -1014,13 +1075,13 @@ class TestChangeDrivenSweep:
                     for v in switched:
                         new_choice[v] = rng.choice(gi.succ[v])
                     got = _codes_or_error(gi, new_choice, player, prev, switched)
-                    _, back = successors_first(gi, new_choice, player, switched, list(prev[0]))
-                    seen["moved"] += bool(set(switched).intersection(back))
-                    check("cone")
+                    sub = ref.subgraph(player, new_choice)
+                    seen["moved"] += any(w in ref.cone(sub, [v]) for v in switched for w in sub[v])
+                    check("resumed")
                     if not isinstance(got, str):
                         choice, prev = new_choice, got
         assert seen["cold"] > 50
-        assert seen["cone"] > 50
+        assert seen["resumed"] > 50
         assert seen["moved"] > 10
         assert seen["settled"] > 50
         assert seen["unsettled"] > 50
@@ -1032,7 +1093,7 @@ class TestPlaySubtree:
     by the play subtree of the switched nodes: after every revaluation the
     codes must equal a cold start's, every stored response the scan of
     ``_scanned_counter``, and the relaxed nodes the nodes whose play crosses
-    a switch, inside the cone of ``successors_first``."""
+    a switch, inside the reference's cone of the switched nodes."""
 
     def test_improving_chains_match_cold_starts(self, monkeypatch):
         relaxed = []
@@ -1051,7 +1112,7 @@ class TestPlaySubtree:
                 cases.append((inst.game, (inst.sigma0, inst.tau0)))
         seen = dict.fromkeys(("revalued", "sink of the opponent", "inside the cone"), 0)
         for game, pair in cases:
-            gi = game_index(game)
+            gi, ref = game_index(game), _reference(game)
             for strategy in pair:
                 player = strategy.player
                 choice = gi.strategy_array(strategy)
@@ -1073,11 +1134,11 @@ class TestPlaySubtree:
                     got = solve_values(gi, new_choice, player, prev, switched)
                     reset = set(relaxed[0])
                     assert got[0] == solve_values(gi, new_choice, player)[0]
-                    xi = valuation_from_codes(gi, *got, player)
-                    assert xi.counter.choice == _scanned_counter(xi)
+                    xi = valuation_from_codes(gi, got[0], player)
+                    assert _stored_counter(gi, got[1], player) == _scanned_counter(xi)
                     assert reset == _crossing_plays(gi, new_choice, player, prev[1], switched)
-                    cone, _ = successors_first(gi, new_choice, player, switched, list(codes))
-                    assert reset <= set(cone)
+                    cone = ref.cone(ref.subgraph(player, new_choice), switched) - {gi.sink}
+                    assert reset <= cone
                     seen["revalued"] += 1
                     seen["sink of the opponent"] += gi.owner[gi.sink] != player
                     seen["inside the cone"] += len(reset) < len(cone)
@@ -1104,11 +1165,15 @@ class TestPlaySubtree:
         game = ParityGame(
             [0, 1, 2], [1, 0, 0], [0, 1, 2], [None] * 3, [(0, 1), (0, 2), (0,)], sink=0
         )
-        xi = valuate(game, Strategy(0, {1: 0, 2: 0}))
-        assert xi.counter.choice == _scanned_counter(xi) == {0: 1}
-        prev = (list(xi.codes), list(xi.response))
-        xi = valuation_from_codes(xi.gi, *solve_values(xi.gi, [0, 2, 0], 0, prev, [1]), 0)
-        assert xi.counter.choice == _scanned_counter(xi) == {0: 0}
+        gi = game_index(game)
+        prev = solve_values(gi, gi.strategy_array(Strategy(0, {1: 0, 2: 0})), 0)
+        xi = valuation_from_codes(gi, prev[0], 0)
+        assert _stored_counter(gi, prev[1], 0) == _scanned_counter(xi) == {0: 1}
+        assert xi.counter.choice == {0: 1}
+        got = solve_values(gi, [0, 2, 0], 0, prev, [1])
+        xi = valuation_from_codes(gi, got[0], 0)
+        assert _stored_counter(gi, got[1], 0) == _scanned_counter(xi) == {0: 0}
+        assert xi.counter.choice == {0: 0}
 
 
 class TestGameIndexBuild:
